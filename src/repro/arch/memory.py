@@ -18,6 +18,7 @@ from typing import Iterator
 PAGE_BITS = 16
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class Memory:
@@ -155,8 +156,17 @@ class Memory:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> dict[int, bytes]:
-        """Capture page contents for later :meth:`restore`."""
-        return {index: bytes(page) for index, page in self._pages.items()}
+        """Capture page contents for later :meth:`restore`.
+
+        The snapshot is canonical: all-zero pages read exactly like
+        unallocated ones, so they are left out, and two memories with
+        equal contents snapshot equal however their pages were touched.
+        """
+        return {
+            index: bytes(page)
+            for index, page in self._pages.items()
+            if page != _ZERO_PAGE
+        }
 
     def restore(self, snap: dict[int, bytes]) -> None:
         """Restore contents captured by :meth:`snapshot`."""

@@ -26,8 +26,7 @@ Per-unit guarantees:
   a chaining-off unit carries no chain residue at all;
 * the zero-overhead-when-off contract (``CHK040``) extends to
   translated code: an observe-off unit never references the
-  observability layer, and a trace-off unit never references the
-  guest-PC profiling hit counters.
+  observability layer or the guest-PC profiling hit counters.
 """
 
 from __future__ import annotations
@@ -153,7 +152,6 @@ def check_unit(
     *,
     chain: bool,
     observe: bool,
-    trace: bool = False,
 ) -> list[Diagnostic]:
     """Structural checks over one translated unit's source."""
     where = f"{context} unit at {unit.pc:#x}"
@@ -233,22 +231,17 @@ def check_unit(
                     f"chain residue: {residue or unit.cells}",
                 )
             )
-    if not observe and "self.obs" in unit.source:
-        diags.append(
-            make_diagnostic(
-                "CHK040",
-                f"{where} references the observability layer in an "
-                f"observe-off translation",
-            )
-        )
-    if not trace and "_prof" in unit.source:
-        diags.append(
-            make_diagnostic(
-                "CHK040",
-                f"{where} references the guest-PC profiling layer in a "
-                f"trace-off translation",
-            )
-        )
+    if not observe:
+        for probe, layer in (("self.obs", "observability layer"),
+                             ("_prof", "guest-PC profiling layer")):
+            if probe in unit.source:
+                diags.append(
+                    make_diagnostic(
+                        "CHK040",
+                        f"{where} references the {layer} in an "
+                        f"observe-off translation",
+                    )
+                )
     return diags
 
 
@@ -302,7 +295,6 @@ def check_translated_units(
                         context,
                         chain=options.chain,
                         observe=options.observe,
-                        trace=getattr(options, "trace", False),
                     )
                 )
     return diags

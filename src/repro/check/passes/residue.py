@@ -7,8 +7,8 @@ of those features.  The runtime tests sample that promise; this pass
 proves it structurally for every module:
 
 * **CHK040** — an observe-off module contains no ``_obs*`` probe
-  identifiers anywhere, and a trace-off module contains no ``_prof*``
-  guest-PC probe identifiers (the :mod:`repro.prof` hit counters).
+  identifiers and no ``_prof*`` guest-PC probe identifiers (the
+  :mod:`repro.prof` hit counters) anywhere.
 * **CHK041** — a profile-off module contains no ``_hops`` counter
   plumbing; a profile-on module has all its static cost placeholders
   resolved to constants (an unresolved ``__BODY_COST_n__`` would crash
@@ -18,25 +18,18 @@ proves it structurally for every module:
 from __future__ import annotations
 
 import ast
-import re
 
 from repro.check.model import ModuleModel
 from repro.diag.core import Diagnostic
+from repro.synth.synthesizer import COST_PLACEHOLDER
 
-#: Matches the synthesizer's unresolved static-cost placeholders
-#: (kept in sync with ``repro.synth.synthesizer._PLACEHOLDER``).
-_PLACEHOLDER = re.compile(
-    r"__(?:EP_COST(?:_\d+)?|BODY_COST_\d+|SBODY_COST_\d+_\d+)__"
-)
-
-_OBS_PREFIX = "_obs"
-_PROF_PREFIX = "_prof"
+#: identifier prefixes of the probes ``observe=True`` emits
+_PROBE_PREFIXES = ("_obs", "_prof")
 
 
 def check_residue(model: ModuleModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     _check_obs_residue(model, diags)
-    _check_trace_residue(model, diags)
     _check_profile_residue(model, diags)
     return diags
 
@@ -46,11 +39,11 @@ def _check_obs_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
         return
     for node in ast.walk(model.tree):
         name = _identifier(node)
-        if name is not None and name.startswith(_OBS_PREFIX):
+        if name is not None and name.startswith(_PROBE_PREFIXES):
             diags.append(
                 model.diagnostic(
                     "CHK040",
-                    f"observability probe residue {name!r} in a module "
+                    f"instrumentation probe residue {name!r} in a module "
                     f"synthesized with observe=False",
                     node=node,
                 )
@@ -58,28 +51,11 @@ def _check_obs_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
             return  # the first occurrence identifies the defect
 
 
-def _check_trace_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
-    if getattr(model.options, "trace", False):
-        return
-    for node in ast.walk(model.tree):
-        name = _identifier(node)
-        if name is not None and name.startswith(_PROF_PREFIX):
-            diags.append(
-                model.diagnostic(
-                    "CHK040",
-                    f"guest-PC profiling probe residue {name!r} in a module "
-                    f"synthesized with trace=False",
-                    node=node,
-                )
-            )
-            return
-
-
 def _check_profile_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
     if not model.options.profile:
         for node in ast.walk(model.tree):
             name = _identifier(node)
-            if name == "_hops" or (name and _PLACEHOLDER.fullmatch(name)):
+            if name == "_hops" or (name and COST_PLACEHOLDER.fullmatch(name)):
                 diags.append(
                     model.diagnostic(
                         "CHK041",
@@ -90,7 +66,7 @@ def _check_profile_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
                 )
                 return
         return
-    match = _PLACEHOLDER.search(model.source)
+    match = COST_PLACEHOLDER.search(model.source)
     if match:
         lineno = model.source.count("\n", 0, match.start()) + 1
         diags.append(

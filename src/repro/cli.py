@@ -97,15 +97,10 @@ def _load_program(args):
 def _stats_setup(stats_mode, profile: bool = False):
     """(SynthOptions, Observability) for --stats/--profile (None = off).
 
-    Profiling implies observability (the profiler rides on the same
-    facade) and additionally synthesizes guest-PC trace probes.
+    Both flags turn on the one instrumentation switch; they differ only
+    in which report is printed.
     """
-    if profile:
-        return (
-            SynthOptions(observe=True, trace=True),
-            make_observability(profile=True),
-        )
-    if not stats_mode:
+    if not (stats_mode or profile):
         return None, None
     return SynthOptions(observe=True), make_observability()
 
@@ -183,8 +178,8 @@ def _cmd_run(args) -> int:
         record_generated_stats(obs, generated)
         record_sim_stats(obs, sim)
         obs.counters.inc("run.instructions", result.executed)
-        if obs.prof.enabled:
-            record_sim_profile(obs.prof, sim)
+        record_sim_profile(obs.prof, sim)
+        if args.profile:
             obs.prof.meta.update(
                 {
                     "isa": args.isa,

@@ -39,7 +39,7 @@ def __getattr__(name: str):
 
         return getattr(runner, name)
     if name in _RENDER:
-        from repro.lint import render
+        from repro.diag import render
 
         return getattr(render, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,13 +21,13 @@ from repro.adl.analyzer import analyze
 from repro.adl.errors import ADLError
 from repro.adl.parser import parse_source
 from repro.adl.spec import IsaSpec
+from repro.diag.suppress import SuppressionIndex
 from repro.lint.buildsets import check_buildset_decls, check_buildsets
 from repro.lint.core import Diagnostic, LintResult
 from repro.lint.decode_space import check_decode_space
 from repro.lint.hygiene import check_hygiene
 from repro.lint.liveness import check_liveness
 from repro.lint.speculation import check_speculation
-from repro.lint.suppress import SuppressionIndex
 
 _SPEC_PASSES = (
     check_decode_space,

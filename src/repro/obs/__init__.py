@@ -10,7 +10,7 @@ Layers:
 
 * :mod:`repro.obs.counters` — hierarchical named counters;
 * :mod:`repro.obs.events` — fixed-capacity ring buffer of structured
-  trace events (block translations, evictions, rollbacks, syscalls,
+  trace events (block translations, cache flushes, rollbacks, syscalls,
   timing mismatches);
 * :mod:`repro.obs.probe` — the :class:`Observability` facade handed to
   every layer, plus the shared null instance;

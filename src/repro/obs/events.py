@@ -1,7 +1,7 @@
 """Structured event tracing into a fixed-capacity ring buffer.
 
 Events capture the *mechanisms* behind the paper's numbers — block
-translations, code-cache evictions and flushes, speculation rollbacks,
+translations, code-cache flushes, speculation rollbacks,
 syscall traps, timing-first checker mismatches — without unbounded
 memory growth: the ring holds the most recent ``capacity`` events and
 counts what it overwrote.
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 # Canonical event kinds emitted by the instrumented layers.
 BLOCK_TRANSLATE = "block_translate"
-CACHE_EVICT = "cache_evict"
 CACHE_FLUSH = "cache_flush"
 ROLLBACK = "rollback"
 SYSCALL = "syscall"

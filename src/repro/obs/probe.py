@@ -2,10 +2,12 @@
 
 One :class:`Observability` instance is shared by a simulator, its OS
 emulator and any timing organization wrapped around it, so a whole run
-aggregates into one counter set and one event ring.  ``NULL_OBS`` is the
-single shared disabled instance; layers accept ``obs=None`` and
+aggregates into one counter set, one event ring and one profiler.
+``obs.enabled`` is the only runtime instrumentation switch: an enabled
+handle always carries a live :class:`repro.prof.Profiler`.  ``NULL_OBS``
+is the single shared disabled instance; layers accept ``obs=None`` and
 substitute it, then branch **once** (at construction or synthesis time)
-on ``obs.enabled`` to select their unobserved fast paths.
+on ``obs.enabled`` to select their uninstrumented fast paths.
 
 Probe points in the stack (see docs/observability.md for the catalog):
 
@@ -13,10 +15,14 @@ Probe points in the stack (see docs/observability.md for the catalog):
 layer                        probes
 ===========================  ==================================================
 synth/codegen (generated)    per-entrypoint invocation counts (``_obs_ep``),
+                             per-guest-PC hit counts (``_prof_hits``),
                              DCE-eliminated statement counts (static metadata)
 synth/translator             block translation time/length, per-block DCE,
-                             code-cache hit/miss/evict/flush
-synth/runtime                counted ``do_block`` path, cache-flush events
+                             translate spans
+synth/runtime                instrumented ``do_block`` loop (code-cache
+                             hit/miss, per-unit guest time), execute /
+                             chain_patch / syscall / rollback spans,
+                             cache-flush events
 sysemu/syscalls              per-syscall counters + trap events
 timing/*                     cache and predictor stats, mismatch events,
                              rollback depth histogram
@@ -31,22 +37,16 @@ from repro.prof.profiler import NULL_PROF, Profiler
 
 
 class Observability:
-    """Live counters + event ring shared across one run's components.
-
-    ``profiler`` optionally attaches a :class:`repro.prof.Profiler` as
-    ``self.prof``; layers branch once on ``obs.prof.enabled`` to select
-    their profiled variants, exactly as they branch on ``obs.enabled``
-    for counting.
-    """
+    """Live counters, event ring and profiler shared across one run."""
 
     __slots__ = ("counters", "events", "prof")
 
     enabled = True
 
-    def __init__(self, ring_capacity: int = 4096, profiler=None) -> None:
+    def __init__(self, ring_capacity: int = 4096) -> None:
         self.counters = Counters()
         self.events = EventRing(ring_capacity)
-        self.prof = profiler if profiler is not None else NULL_PROF
+        self.prof = Profiler()
 
     def clear(self) -> None:
         self.counters.clear()
@@ -55,7 +55,7 @@ class Observability:
 
 
 class _NullObservability:
-    """Disabled facade: null counters, null events, ``enabled = False``."""
+    """Disabled facade: null counters, events and profiler."""
 
     __slots__ = ("counters", "events", "prof")
 
@@ -74,15 +74,6 @@ class _NullObservability:
 NULL_OBS = _NullObservability()
 
 
-def make_observability(
-    enabled: bool = True, ring_capacity: int = 4096, profile: bool = False
-):
-    """An :class:`Observability` when enabled, else the shared null.
-
-    ``profile=True`` additionally attaches a live
-    :class:`repro.prof.Profiler` (and implies ``enabled``): profiling
-    rides on the same facade the counters do.
-    """
-    if profile:
-        return Observability(ring_capacity, profiler=Profiler())
+def make_observability(enabled: bool = True, ring_capacity: int = 4096):
+    """An :class:`Observability` when enabled, else the shared null."""
     return Observability(ring_capacity) if enabled else NULL_OBS

@@ -37,7 +37,6 @@ def record_sim_stats(obs, sim) -> None:
         stats = translator.cache_stats
         counters.inc("code_cache.hits", stats.hits)
         counters.inc("code_cache.misses", stats.misses)
-        counters.inc("code_cache.evictions", stats.evictions)
         counters.inc("code_cache.flushes", stats.flushes)
         counters.inc("code_cache.blocks", stats.blocks)
         counters.inc("code_cache.chain.links", stats.chain_links)

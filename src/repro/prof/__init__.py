@@ -3,11 +3,12 @@
 The observability subsystem (:mod:`repro.obs`) counts *how often*
 mechanisms fire; this sibling answers *how long they take* and *which
 guest code is hot* — the attribution the paper's Tables II/III argue
-from.  Same contract as every layer it watches: the enabled and
-disabled variants are selected at synthesis/construction time
-(``obs.prof`` is either a live :class:`Profiler` or the shared
-:data:`NULL_PROF`), never tested per event, and ``repro check``'s
-residue pass proves the off state leaves no bytecode behind.
+from.  It rides on the same switch: an enabled ``obs`` always carries a
+live :class:`Profiler` as ``obs.prof`` and the disabled ``NULL_OBS``
+carries the shared :data:`NULL_PROF`.  The instrumented variants are
+selected at synthesis/construction time, never tested per event, and
+``repro check``'s residue pass proves the off state leaves no bytecode
+behind.
 
 Layers:
 
@@ -15,8 +16,7 @@ Layers:
   (translate / execute / chain_patch / syscall / rollback /
   timing_model) aggregated into a self/total span tree;
 * :mod:`repro.prof.guest` — guest attribution: per-translated-unit
-  timing, synthesized per-PC probes, a background PC sampler, and an
-  optional ``sys.setprofile`` host-call mode;
+  timing and synthesized per-PC probes;
 * :mod:`repro.prof.export` — Chrome Trace Event JSON, folded stacks
   for ``flamegraph.pl``, report documents and text rendering;
 * :mod:`repro.prof.bench` — ``BENCH_*.json`` regression diffing and
@@ -43,9 +43,7 @@ from repro.prof.export import (
 from repro.prof.guest import (
     NULL_GUEST,
     GuestProfiler,
-    HostCallProfiler,
     NullGuestProfiler,
-    PCSampler,
 )
 from repro.prof.profiler import NULL_PROF, NullProfiler, Profiler, record_sim_profile
 from repro.prof.spans import (
@@ -67,14 +65,12 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "EXECUTE",
     "GuestProfiler",
-    "HostCallProfiler",
     "NULL_GUEST",
     "NULL_PROF",
     "NULL_SPANS",
     "NullGuestProfiler",
     "NullProfiler",
     "NullSpanTracer",
-    "PCSampler",
     "Profiler",
     "ROLLBACK",
     "SYSCALL",

@@ -160,14 +160,10 @@ def render_profile_text(prof, meta: dict | None = None, limit: int = 16) -> str:
         )
     pcs = prof.guest.hot_pcs(limit=limit)
     if pcs:
-        rows = [
-            [f"{row['pc']:#x}", row["hits"], row["samples"]] for row in pcs
-        ]
+        rows = [[f"{row['pc']:#x}", row["hits"]] for row in pcs]
         lines.append(
             render_table(
-                "Hot guest PCs (probe hits / PC samples)",
-                ["guest PC", "hits", "samples"],
-                rows,
+                "Hot guest PCs (probe hits)", ["guest PC", "hits"], rows
             )
         )
     if prof.spans.events_dropped:

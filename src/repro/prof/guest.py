@@ -1,29 +1,17 @@
 """Guest attribution: which guest code costs host time.
 
-Three complementary sources feed one :class:`GuestProfiler`:
+Two complementary sources feed one :class:`GuestProfiler`:
 
-* **unit timing** (Block interfaces) — the profiled dispatch loop times
-  each translated unit's execution and charges it to the unit's guest
-  PC, together with the unit's superblock/chain provenance
+* **unit timing** (Block interfaces) — the instrumented dispatch loop
+  times each translated unit's execution and charges it to the unit's
+  guest PC, together with the unit's superblock/chain provenance
   (``__block_len__``/``__block_parts__`` attached by the translator);
 * **probe hits** (One/Step interfaces) — modules synthesized with
-  ``SynthOptions(trace=True)`` count executions per guest PC in
-  ``sim._prof_hits``; :func:`record_sim_profile` folds them in;
-* **PC sampling** (:class:`PCSampler`) — a background thread samples
-  ``state.pc`` at a fixed interval, attributing host wall time
-  statistically.  Works for any execution style, including the
-  interpreted path, without touching generated code.
-
-A :class:`HostCallProfiler` (``sys.setprofile``) is the optional
-host-side view for interpreted/One paths: cumulative time per generated
-function instead of per guest PC.
+  ``SynthOptions(observe=True)`` count executions per guest PC in
+  ``sim._prof_hits``; :func:`record_sim_profile` folds them in.
 """
 
 from __future__ import annotations
-
-import sys
-import threading
-import time
 
 
 class UnitStat:
@@ -57,7 +45,7 @@ class UnitStat:
 class GuestProfiler:
     """Per-unit and per-PC host-time attribution for one run."""
 
-    __slots__ = ("units", "pc_hits", "samples", "foreign_ns")
+    __slots__ = ("units", "pc_hits", "foreign_ns")
 
     enabled = True
 
@@ -66,12 +54,10 @@ class GuestProfiler:
         self.units: dict[int, UnitStat] = {}
         #: per-guest-PC execution counts from synthesized probes
         self.pc_hits: dict[int, int] = {}
-        #: per-guest-PC sample counts from a :class:`PCSampler`
-        self.samples: dict[int, int] = {}
-        #: time spent in non-guest work (chain patching, successor
-        #: translation) nested *inside* a unit's timed window; the
-        #: profiled dispatch loop subtracts the delta so a cold unit is
-        #: not billed for translating everything downstream of it
+        #: time spent in host-side work (chain patching, successor
+        #: translation, syscalls) nested *inside* a unit's timed window;
+        #: the instrumented dispatch loop subtracts the delta so a cold
+        #: unit is not billed for translating everything downstream of it
         self.foreign_ns = 0
 
     # -- recording ---------------------------------------------------------
@@ -104,12 +90,6 @@ class GuestProfiler:
         for pc, count in hits.items():
             mine[pc] = mine.get(pc, 0) + count
 
-    def add_samples(self, samples: dict) -> None:
-        """Fold per-PC sample counts (a :class:`PCSampler` result) in."""
-        mine = self.samples
-        for pc, count in samples.items():
-            mine[pc] = mine.get(pc, 0) + count
-
     # -- reading -----------------------------------------------------------
 
     def hot_blocks(self, limit: int | None = None, ilen: int = 4) -> list[dict]:
@@ -126,23 +106,18 @@ class GuestProfiler:
         return out
 
     def hot_pcs(self, limit: int | None = None) -> list[dict]:
-        """Guest PCs by descending weight (probe hits + samples merged)."""
-        merged: dict[int, dict] = {}
-        for pc, count in self.pc_hits.items():
-            merged[pc] = {"pc": pc, "hits": count, "samples": 0}
-        for pc, count in self.samples.items():
-            row = merged.setdefault(pc, {"pc": pc, "hits": 0, "samples": 0})
-            row["samples"] = count
-        rows = sorted(
-            merged.values(),
-            key=lambda r: (-(r["hits"] + r["samples"]), r["pc"]),
-        )
+        """Guest PCs by descending probe hit count."""
+        rows = [
+            {"pc": pc, "hits": count}
+            for pc, count in sorted(
+                self.pc_hits.items(), key=lambda item: (-item[1], item[0])
+            )
+        ]
         return rows if limit is None else rows[:limit]
 
     def clear(self) -> None:
         self.units.clear()
         self.pc_hits.clear()
-        self.samples.clear()
         self.foreign_ns = 0
 
 
@@ -154,7 +129,6 @@ class NullGuestProfiler:
     enabled = False
     units: dict = {}
     pc_hits: dict = {}
-    samples: dict = {}
     foreign_ns = 0
 
     def register_unit(self, pc, length, parts=1) -> None:
@@ -164,9 +138,6 @@ class NullGuestProfiler:
         pass
 
     def add_pc_hits(self, hits) -> None:
-        pass
-
-    def add_samples(self, samples) -> None:
         pass
 
     def hot_blocks(self, limit=None, ilen=4) -> list:
@@ -181,106 +152,3 @@ class NullGuestProfiler:
 
 #: shared no-op instance
 NULL_GUEST = NullGuestProfiler()
-
-
-class PCSampler:
-    """Background-thread guest-PC sampler.
-
-    Reads ``target.pc`` (an :class:`~repro.arch.state.ArchState` or any
-    object with an integer ``pc``) every ``interval_us`` microseconds
-    while started.  Under the GIL an attribute read of an int is safe
-    without locking; the histogram is only approximate by design.
-    """
-
-    def __init__(self, target, interval_us: int = 200) -> None:
-        self.target = target
-        self.interval = interval_us / 1e6
-        self.counts: dict[int, int] = {}
-        self.taken = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def _loop(self) -> None:
-        counts = self.counts
-        target = self.target
-        while not self._stop.is_set():
-            pc = target.pc
-            counts[pc] = counts.get(pc, 0) + 1
-            self.taken += 1
-            time.sleep(self.interval)
-
-    def start(self) -> "PCSampler":
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-pc-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> dict[int, int]:
-        """Stop sampling; returns the PC histogram."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        return self.counts
-
-    def __enter__(self) -> "PCSampler":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-class HostCallProfiler:
-    """``sys.setprofile``-based host-function attribution.
-
-    Records cumulative wall time and call counts per Python function,
-    keyed by code-object name.  Intended for the interpreted and One
-    paths, where guest work maps onto generated functions (``_b_<i>``
-    bodies, entrypoints) rather than translated units.  Heavy — never
-    enabled implicitly.
-    """
-
-    def __init__(self, clock=time.perf_counter_ns) -> None:
-        self._clock = clock
-        self._stack: list[tuple[str, int]] = []
-        self.stats: dict[str, list[int]] = {}  # name -> [calls, ns]
-
-    def _hook(self, frame, event, arg) -> None:
-        if event in ("call", "c_call"):
-            name = (
-                frame.f_code.co_name if event == "call" else str(arg.__name__)
-            )
-            self._stack.append((name, self._clock()))
-        elif event in ("return", "c_return", "c_exception"):
-            if not self._stack:
-                return
-            name, t0 = self._stack.pop()
-            stat = self.stats.get(name)
-            if stat is None:
-                stat = self.stats[name] = [0, 0]
-            stat[0] += 1
-            stat[1] += self._clock() - t0
-
-    def start(self) -> "HostCallProfiler":
-        sys.setprofile(self._hook)
-        return self
-
-    def stop(self) -> dict[str, list[int]]:
-        sys.setprofile(None)
-        self._stack.clear()
-        return self.stats
-
-    def __enter__(self) -> "HostCallProfiler":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def top(self, limit: int = 20) -> list[dict]:
-        rows = sorted(
-            ({"name": k, "calls": v[0], "ns": v[1]} for k, v in self.stats.items()),
-            key=lambda r: -r["ns"],
-        )
-        return rows[:limit]

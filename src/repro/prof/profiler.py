@@ -1,11 +1,11 @@
 """The profiling facade: spans + guest attribution behind one handle.
 
 One :class:`Profiler` is shared by a run's components, exactly like the
-:class:`~repro.obs.probe.Observability` facade it rides on
-(``make_observability(profile=True)`` attaches one as ``obs.prof``).
-Layers branch **once** — at synthesis or construction time — on
-``prof.enabled`` to select their profiled variants; the shared
-:data:`NULL_PROF` twin makes the disabled path free.
+:class:`~repro.obs.probe.Observability` facade it rides on: every
+enabled ``obs`` carries one as ``obs.prof``.  Layers branch **once** —
+at synthesis or construction time — on ``obs.enabled`` to select their
+instrumented variants; the shared :data:`NULL_PROF` twin makes the
+disabled path free.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def record_sim_profile(prof, sim) -> None:
 
     Call once per simulator instance after its run (mirrors
     :func:`repro.obs.report.record_sim_stats`).  Only modules generated
-    with ``SynthOptions(trace=True)`` populate ``sim._prof_hits``.
+    with ``SynthOptions(observe=True)`` populate ``sim._prof_hits``.
     """
     hits = getattr(sim, "_prof_hits", None)
     if hits:

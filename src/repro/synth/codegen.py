@@ -37,16 +37,12 @@ class SynthOptions:
     regcache: bool = True
     profile: bool = False
     max_block: int = 32
-    #: emit observability probes (per-entrypoint counters) into generated
-    #: code; off by default so the disabled path carries zero extra bytecode
-    observe: bool = False
-    #: emit profiling probes (per-guest-PC hit counts feeding the
-    #: :mod:`repro.prof` hot-PC attribution) into generated code; off by
-    #: default under the same zero-overhead-when-off contract, proved
+    #: emit instrumentation probes into generated code: per-entrypoint
+    #: invocation counts (``_obs_ep``) and per-guest-PC hit counts
+    #: (``_prof_hits``, the :mod:`repro.prof` hot-PC attribution); off by
+    #: default so the disabled path carries zero extra bytecode, proved
     #: structurally by ``repro check``'s CHK040 residue pass
-    trace: bool = False
-    #: maximum translated blocks kept in the code cache (None = unbounded)
-    cache_limit: int | None = None
+    observe: bool = False
     #: total instruction budget of one translation unit; when positive the
     #: block translator follows compile-time-constant unconditional control
     #: transfers across basic-block boundaries up to this many instructions
@@ -547,7 +543,7 @@ def generate_one_module(plan: BuildPlan) -> str:
         )
     if plan.options.profile:
         writer.line("self._hops += __EP_COST__")
-    if plan.options.trace:
+    if plan.options.observe:
         writer.line("_ph = self._prof_hits")
         writer.line("_ph[pc] = _ph.get(pc, 0) + 1")
     writer.line("_B[__op](self, di, pc, instr_bits)", SpecOrigin(kind="dispatch"))
@@ -739,7 +735,7 @@ def generate_step_module(plan: BuildPlan) -> str:
                     SpecOrigin(kind="store", detail=name,
                                loc=_field_loc(spec, name)),
                 )
-            if plan.options.trace and ep_index == 0:
+            if plan.options.observe and ep_index == 0:
                 writer.line("_ph = self._prof_hits")
                 writer.line("_ph[pc] = _ph.get(pc, 0) + 1")
         elif ep_index == plan.decode_ep_index:
@@ -756,7 +752,7 @@ def generate_step_module(plan: BuildPlan) -> str:
                         SpecOrigin(kind="store", detail=name,
                                    loc=_field_loc(spec, name)),
                     )
-                if plan.options.trace:
+                if plan.options.observe:
                     writer.line("_ph = self._prof_hits")
                     writer.line("_ph[pc] = _ph.get(pc, 0) + 1")
             else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.arch.faults import ExitProgram
 from repro.arch.memory import Memory
 from repro.arch.state import ArchState
-from repro.obs.events import CACHE_EVICT, CACHE_FLUSH
+from repro.obs.events import CACHE_FLUSH
 from repro.obs.probe import NULL_OBS
 from repro.prof.spans import CHAIN_PATCH, EXECUTE, ROLLBACK, SYSCALL
 from repro.synth.errors import SynthesisError
@@ -78,14 +78,13 @@ class SynthesizedSimulator:
         self.syscall_handler = syscall_handler
         self._hops = 0
         #: per-guest-PC hit counts, written only by probes that exist
-        #: when the module was synthesized with trace=True
+        #: when the module was synthesized with observe=True
         self._prof_hits: dict[int, int] = {}
         self.obs = obs if obs is not None else NULL_OBS
-        profiling = self.obs.prof.enabled
         self.entry_names = generated.entry_names
         #: per-entrypoint invocation counts, incremented only by probes
         #: that exist when the module was synthesized with observe=True
-        #: (or by the observed do_block path)
+        #: (or by the instrumented do_block loop)
         self._obs_ep = {name: 0 for name in generated.entry_names}
         for name in generated.entry_names:
             fn = generated.namespace.get(name)
@@ -99,31 +98,10 @@ class SynthesizedSimulator:
             self._translator = BlockTranslator(self.plan, obs=self.obs)
             #: chain edges into each cached unit: target pc -> {id: cell}
             self._chains: dict[int, dict[int, list]] = {}
-            #: whether cache statistics are being maintained (observed
-            #: path selected); gates counting in the chain slow paths
-            self._counting = (
-                self.obs.enabled or self.plan.options.cache_limit is not None
-            )
-            #: LRU ordering is maintained only when a capacity limit exists
-            self._lru = self.plan.options.cache_limit is not None
-            if profiling:
-                # Profiling subsumes counting: the profiled lookup keeps
-                # the observed path's cache statistics and adds per-unit
-                # wall-clock attribution.
-                self._counting = True
-                self.do_block = self._do_block_profiled
-                self._chain_link = self._chain_link_profiled
-            elif self._counting:
-                # Select the counting/evicting lookup once, here, so the
-                # default path keeps its original (probe-free) bytecode.
-                self.do_block = self._do_block_observed
-        if profiling:
-            # Span-wrapped twins, instance-bound once so the unprofiled
-            # methods keep their original bytecode.
-            self._do_syscall = self._do_syscall_profiled
-            self.run = self._run_profiled
-            if self.buildset.speculation:
-                self.rollback = self._rollback_profiled
+        if self.obs.enabled:
+            # Selected once, here, so an uninstrumented instance keeps the
+            # class's original (probe-free) methods.
+            self._instrument()
         if self.plan.options.profile:
             profiled = ProfilingMemory(
                 self.spec.endian, self, generated.mem_read_cost,
@@ -147,10 +125,38 @@ class SynthesizedSimulator:
             )
         self.syscall_handler(self.state, di)
 
-    def _do_syscall_profiled(self, di) -> None:
-        """Span-wrapped twin of :meth:`_do_syscall` (profiling builds)."""
-        with self.obs.prof.spans.span(SYSCALL):
-            SynthesizedSimulator._do_syscall(self, di)
+    def _instrument(self) -> None:
+        """Bind the instrumented dispatch loop and span-timed wrappers.
+
+        Each wrapped method runs inside a span named after its layer, and
+        its elapsed time is credited to ``guest.foreign_ns``: chain
+        patching and syscalls run nested inside a translated unit's timed
+        window, and the dispatch loop deducts that host-side work so
+        units are charged only for executing guest code.
+        """
+        prof = self.obs.prof
+        begin, end = prof.spans.begin, prof.spans.end
+        guest = prof.guest
+        ns = time.perf_counter_ns
+
+        def timed(name: str, method):
+            def wrapper(*args):
+                t0 = ns()
+                begin(name)
+                try:
+                    return method(*args)
+                finally:
+                    end()
+                    guest.foreign_ns += ns() - t0
+
+            return wrapper
+
+        self.run = timed(EXECUTE, self.run)
+        self._do_syscall = timed(SYSCALL, self._do_syscall)
+        self.rollback = timed(ROLLBACK, self.rollback)
+        if self._translator is not None:
+            self.do_block = self._do_block_instrumented
+            self._chain_link = timed(CHAIN_PATCH, self._chain_link)
 
     # -- block-mode support --------------------------------------------------------
 
@@ -183,17 +189,19 @@ class SynthesizedSimulator:
         while nxt is not None:
             nxt = nxt(self, di)
 
-    def _do_block_observed(self, di) -> None:
-        """Counting/evicting variant of :meth:`do_block`.
+    def _do_block_instrumented(self, di) -> None:
+        """Instrumented variant of :meth:`do_block` (``obs`` enabled).
 
-        Bound over ``do_block`` at construction time when observability
-        is enabled or a code-cache capacity limit is configured, so the
-        default path never pays for either.  Chained transfers count as
-        cache hits (the lookup they replace) plus ``chained``.
+        Counts cache hits and misses (a chained transfer counts as the
+        hit it replaces, plus ``chained``) and charges each translation
+        unit's wall-clock time and executed instruction count to its
+        guest entry PC in ``obs.prof.guest``, including every chained hop
+        the trampoline takes.  A unit that raises (guest exit, syscall
+        unwinding) is not charged: one partial unit per run is below
+        measurement noise.
         """
         pc = self.state.pc
-        cache = self._cache
-        fn = cache.get(pc)
+        fn = self._cache.get(pc)
         stats = self._translator.cache_stats
         if fn is None:
             stats.misses += 1
@@ -201,42 +209,6 @@ class SynthesizedSimulator:
             self._install_block(pc, fn)
         else:
             stats.hits += 1
-            if self._lru:
-                cache[pc] = cache.pop(pc)  # move-to-end: most recently used
-        self._obs_ep["do_block"] += 1
-        budget = di.budget
-        if 0 < budget < fn.__block_len__:
-            self._translator._translate(self, pc, limit=budget)(self, di)
-            di.budget = budget - di.count
-            return
-        nxt = fn(self, di)
-        while nxt is not None:
-            stats.hits += 1
-            stats.chained += 1
-            nxt = nxt(self, di)
-
-    def _do_block_profiled(self, di) -> None:
-        """Profiled variant of :meth:`_do_block_observed`.
-
-        Keeps the observed path's cache statistics and additionally
-        charges each translation unit's wall-clock time and executed
-        instruction count to its guest entry PC in ``obs.prof.guest``,
-        including every chained hop the trampoline takes.  A unit that
-        raises (guest exit, syscall unwinding) is not charged: one
-        partial unit per run is below measurement noise.
-        """
-        pc = self.state.pc
-        cache = self._cache
-        fn = cache.get(pc)
-        stats = self._translator.cache_stats
-        if fn is None:
-            stats.misses += 1
-            fn = self._translator.translate(self, pc)
-            self._install_block(pc, fn)
-        else:
-            stats.hits += 1
-            if self._lru:
-                cache[pc] = cache.pop(pc)  # move-to-end: most recently used
         self._obs_ep["do_block"] += 1
         guest = self.obs.prof.guest
         ns = time.perf_counter_ns
@@ -248,10 +220,9 @@ class SynthesizedSimulator:
             guest.add_unit_time(pc, ns() - t0, di.count)
             di.budget = budget - di.count
             return
-        # The chain slow path (patch + successor translation) runs inside
-        # the unit's epilogue; its wrapper accumulates that time into
-        # ``foreign_ns`` so the delta can be deducted here and the unit is
-        # charged only for executing guest code.
+        # Host-side work nested in the unit (chain patching, successor
+        # translation, syscalls) accumulates into ``foreign_ns``; the
+        # delta is deducted so the unit is charged only for guest code.
         t0 = ns()
         f0 = guest.foreign_ns
         nxt = fn(self, di)
@@ -270,59 +241,26 @@ class SynthesizedSimulator:
             nxt = cur
 
     def _install_block(self, pc: int, fn) -> None:
-        """Insert a translated unit, evicting (LRU) at the capacity limit."""
+        """Insert a translated unit into the code cache."""
         cache = self._cache
-        limit = self.plan.options.cache_limit
-        if limit is not None:
-            while len(cache) >= limit:
-                self._evict_block(next(iter(cache)))
         cache[pc] = fn
-        if self._counting:
+        if self.obs.enabled:
             self._translator.cache_stats.blocks = len(cache)
-            prof = self.obs.prof
-            if prof.enabled:
-                prof.guest.register_unit(
-                    pc, fn.__block_len__, getattr(fn, "__block_parts__", 1)
-                )
-
-    def _evict_block(self, victim: int) -> None:
-        fn = self._cache.pop(victim)
-        self._unlink_block(victim, fn)
-        stats = self._translator.cache_stats
-        stats.evictions += 1
-        stats.blocks = len(self._cache)
-        self.obs.events.emit(CACHE_EVICT, pc=victim)
-
-    def _unlink_block(self, pc: int, fn) -> None:
-        """Sever every chain edge into and out of one translated unit."""
-        from repro.synth.translator import reset_chain_cell
-
-        stats = self._translator.cache_stats
-        incoming = self._chains.pop(pc, None)
-        if incoming:
-            for cell in incoming.values():
-                reset_chain_cell(cell)
-            stats.chain_unlinks += len(incoming)
-        for cell in getattr(fn, "__chain_cells__", ()):
-            target = cell[2]
-            if target != -1:
-                registry = self._chains.get(target)
-                if registry is not None:
-                    registry.pop(id(cell), None)
-                reset_chain_cell(cell)
-                stats.chain_unlinks += 1
+            self.obs.prof.guest.register_unit(
+                pc, fn.__block_len__, fn.__block_parts__
+            )
 
     def _chain_link(self, cell: list, target: int, budget: int):
         """Patch ``cell`` to transfer directly to the unit at ``target``.
 
         Slow path of the generated chain epilogue: looks up (translating
-        on a miss) the successor, records the edge so eviction/flush can
-        sever it, and returns the successor's function when it fits the
+        on a miss) the successor, records the edge so a flush can sever
+        it, and returns the successor's function when it fits the
         remaining budget — the trampoline then calls it directly.
         """
         fn = self._cache.get(target)
         if fn is None:
-            if self._counting:
+            if self.obs.enabled:
                 self._translator.cache_stats.misses += 1
             fn = self._translator.translate(self, target)
             self._install_block(target, fn)
@@ -339,23 +277,6 @@ class SynthesizedSimulator:
         length = fn.__block_len__
         cell[1] = length
         return fn if length <= budget else None
-
-    def _chain_link_profiled(self, cell: list, target: int, budget: int):
-        """Span-wrapped twin of :meth:`_chain_link` (profiling builds).
-
-        Besides the span, the elapsed time is credited to
-        ``guest.foreign_ns``: this slow path runs nested inside the
-        calling unit's timed window, and the dispatch loop deducts it so
-        units are charged only for guest execution.
-        """
-        prof = self.obs.prof
-        t0 = time.perf_counter_ns()
-        prof.spans.begin(CHAIN_PATCH)
-        try:
-            return SynthesizedSimulator._chain_link(self, cell, target, budget)
-        finally:
-            prof.spans.end()
-            prof.guest.foreign_ns += time.perf_counter_ns() - t0
 
     def _chain_resolve(self, c0: list, c1: list, target: int, budget: int):
         """Pick a successor slot for a runtime-computed exit and link it.
@@ -402,11 +323,6 @@ class SynthesizedSimulator:
                 f"speculation support"
             )
         return self.state.rollback(count)
-
-    def _rollback_profiled(self, count: int = 1) -> int:
-        """Span-wrapped twin of :meth:`rollback` (profiling builds)."""
-        with self.obs.prof.spans.span(ROLLBACK):
-            return SynthesizedSimulator.rollback(self, count)
 
     def commit(self, count: int = 1) -> int:
         """Retire undo records for the oldest ``count`` instructions."""
@@ -463,11 +379,6 @@ class SynthesizedSimulator:
                 # chain past its caller's one-unit expectation.
                 di.budget = 0
         return RunResult(executed, False, None)
-
-    def _run_profiled(self, max_instructions: int) -> RunResult:
-        """Span-wrapped twin of :meth:`run` (profiling builds)."""
-        with self.obs.prof.spans.span(EXECUTE):
-            return SynthesizedSimulator.run(self, max_instructions)
 
     @property
     def hostops(self) -> int:

@@ -91,7 +91,11 @@ def _generate_block_module(plan: BuildPlan) -> str:
     return writer.source()
 
 
-_PLACEHOLDER = re.compile(r"__(?:EP_COST(?:_\d+)?|BODY_COST_\d+|SBODY_COST_\d+_\d+)__")
+#: unresolved static-cost placeholders (also matched by ``repro check``'s
+#: CHK041 residue pass)
+COST_PLACEHOLDER = re.compile(
+    r"__(?:EP_COST(?:_\d+)?|BODY_COST_\d+|SBODY_COST_\d+_\d+)__"
+)
 
 
 def _resolve_profile_placeholders(source: str, namespace: dict) -> str:
@@ -125,7 +129,7 @@ def _resolve_profile_placeholders(source: str, namespace: dict) -> str:
             return str(fn_costs.get(f"_sb_{sbody.group(1)}_{sbody.group(2)}", 0))
         return "0"  # pragma: no cover
 
-    return _PLACEHOLDER.sub(replace, source)
+    return COST_PLACEHOLDER.sub(replace, source)
 
 
 def synthesize(

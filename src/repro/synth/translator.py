@@ -343,20 +343,18 @@ class CodeCacheStats:
     """Public statistics of one simulator's block code cache.
 
     ``hits``/``misses`` count :meth:`do_block` lookups (only on the
-    observed path — the unobserved fast path does not count), ``blocks``
-    is the current cache population, ``evictions`` counts capacity
-    evictions and ``flushes`` whole-cache invalidations.
+    instrumented path — the uninstrumented fast path does not count),
+    ``blocks`` is the current cache population and ``flushes`` counts
+    whole-cache invalidations.
 
     Chaining bookkeeping: ``chain_links`` counts successor slots patched
-    to a translated unit, ``chain_unlinks`` slots severed by eviction or
-    flush, and ``chained`` direct unit-to-unit transfers taken (observed
-    path only — on the fast path chained transfers are uncounted, like
-    hits).
+    to a translated unit, ``chain_unlinks`` slots severed by a flush, and
+    ``chained`` direct unit-to-unit transfers taken (instrumented path
+    only — on the fast path chained transfers are uncounted, like hits).
     """
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     flushes: int = 0
     blocks: int = 0
     chain_links: int = 0
@@ -367,7 +365,6 @@ class CodeCacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "flushes": self.flushes,
             "blocks": self.blocks,
             "chain_links": self.chain_links,
@@ -424,16 +421,9 @@ class BlockTranslator:
         """
         if not self.obs.enabled:
             return self._translate(sim, start_pc, limit)
-        prof = self.obs.prof
-        if prof.enabled:
-            with prof.spans.span(TRANSLATE_SPAN):
-                return self._translate_counted(sim, start_pc, limit)
-        return self._translate_counted(sim, start_pc, limit)
-
-    def _translate_counted(self, sim, start_pc: int, limit: int | None = None):
-        """Counting body of :meth:`translate` (observability enabled)."""
         start = time.perf_counter()
-        fn = self._translate(sim, start_pc, limit)
+        with self.obs.prof.spans.span(TRANSLATE_SPAN):
+            fn = self._translate(sim, start_pc, limit)
         elapsed_us = int((time.perf_counter() - start) * 1e6)
         length = self._last_block_len
         parts = self._last_parts

@@ -50,7 +50,7 @@ class FunctionalFirstSimulator:
         # wraps each block's trace consumption in a TIMING span.
         self._consume = (
             self._consume_trace_profiled
-            if self.obs.prof.enabled
+            if self.obs.enabled
             else self._consume_trace
         )
 

@@ -116,7 +116,7 @@ class TimingFirstSimulator:
 
     def run(self, max_instructions: int) -> TimingReport:
         """Profiling-aware entry: a TIMING span brackets the whole drive."""
-        if self.obs.prof.enabled:
+        if self.obs.enabled:
             with self.obs.prof.spans.span(TIMING_SPAN):
                 return self._run(max_instructions)
         return self._run(max_instructions)

@@ -67,8 +67,7 @@ def run_kernel(
         record_sim_stats(obs, sim)
         obs.counters.inc("run.instructions", result.executed)
         obs.counters.inc("run.kernels", 1)
-        if obs.prof.enabled:
-            record_sim_profile(obs.prof, sim)
+        record_sim_profile(obs.prof, sim)
     return KernelRun(
         kernel=name,
         isa=isa,

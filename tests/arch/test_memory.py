@@ -130,6 +130,13 @@ class TestSnapshots:
         mem.write_u8(0, 2)
         assert snap[0][0] == 1
 
+    def test_snapshot_omits_all_zero_pages(self):
+        # canonical: a touched-but-zero page reads like an unmapped one
+        mem = Memory()
+        mem.write_u8(0x10, 7)
+        mem.write_u8(PAGE_SIZE + 5, 0)
+        assert list(mem.snapshot()) == [0]
+
     def test_clear(self):
         mem = Memory()
         mem.write_u64(0x100, 5)

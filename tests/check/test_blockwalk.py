@@ -146,9 +146,7 @@ class TestDefectInjection:
         bad = self.mutate(
             unit, source=unit.source + "\n    self._prof_hits[0] = 1"
         )
-        codes = codes_of(
-            check_unit(bad, "t", chain=True, observe=False, trace=False)
-        )
+        codes = codes_of(check_unit(bad, "t", chain=True, observe=False))
         assert "CHK040" in codes
 
     def test_prof_reference_is_allowed_when_trace_on(self, alpha_walk):
@@ -156,7 +154,5 @@ class TestDefectInjection:
         probed = self.mutate(
             unit, source=unit.source + "\n    self._prof_hits[0] = 1"
         )
-        codes = codes_of(
-            check_unit(probed, "t", chain=True, observe=False, trace=True)
-        )
+        codes = codes_of(check_unit(probed, "t", chain=True, observe=True))
         assert "CHK040" not in codes

@@ -211,21 +211,21 @@ class TestZeroOverheadResidue:
         result = check_generated(gen_one_all, gen_observe.source)
         assert "CHK040" in codes_of(result)
 
-    def test_chk040_trace_probe_residue_in_trace_off_module(self, toy_spec):
-        from repro.synth import SynthOptions, synthesize
+    def test_chk040_trace_probe_residue_in_trace_off_module(self, gen_one_all):
+        # a guest-PC trace probe alone, without the _obs_ep counter, is
+        # still residue in an observe-off module
+        source = replaced(
+            gen_one_all,
+            "__state.pc = next_pc",
+            "__state.pc = next_pc\n    self._prof_hits[0] = 1",
+        )
+        result = check_generated(gen_one_all, source)
+        assert codes_of(result) == ["CHK040"]
 
-        traced = synthesize(toy_spec, "one_all", SynthOptions(trace=True))
-        plain = synthesize(toy_spec, "one_all")
-        # the trace-on sibling's source claimed by a trace-off module:
-        # guest-PC probe residue the promise forbids
-        result = check_generated(plain, traced.source)
-        assert "CHK040" in codes_of(result)
-
-    def test_chk040_accepts_probes_in_trace_on_module(self, toy_spec):
-        from repro.synth import SynthOptions, synthesize
-
-        traced = synthesize(toy_spec, "one_all", SynthOptions(trace=True))
-        assert "CHK040" not in codes_of(check_generated(traced))
+    def test_chk040_accepts_probes_in_trace_on_module(self, gen_observe):
+        # observe=True emits the guest-PC trace probes too
+        assert "_prof_hits" in gen_observe.source
+        assert "CHK040" not in codes_of(check_generated(gen_observe))
 
     def test_chk041_hops_residue_in_nonprofile_module(self, gen_one_all):
         source = replaced(

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.adl import load_isa_source
+from repro.diag.render import render_json, render_text
 from repro.lint.core import CODES, Severity
-from repro.lint.render import render_json, render_text
 from repro.lint.runner import lint_source
 from repro.synth import synthesize
 from repro.synth.errors import SynthesisError

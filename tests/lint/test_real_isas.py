@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.diag.render import render_json
 from repro.isa.base import available_isas, get_bundle
-from repro.lint.render import render_json
 from repro.lint.runner import lint_paths
 
 

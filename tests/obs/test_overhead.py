@@ -57,22 +57,28 @@ class TestGeneratedModules:
 class TestTraceProbes:
     @pytest.mark.parametrize("buildset", ["one_min", "step_all"])
     def test_disabled_source_has_no_prof_probes(self, alpha_spec, buildset):
-        off = synthesize(alpha_spec, buildset)  # defaults: trace=False
-        on = synthesize(alpha_spec, buildset, SynthOptions(trace=True))
+        off = synthesize(alpha_spec, buildset)  # defaults: observe=False
+        on = synthesize(alpha_spec, buildset, SynthOptions(observe=True))
         assert "_prof_hits" not in off.source
         assert "_prof_hits" in on.source
 
     def test_trace_probe_is_bytecode_additive_only(self, alpha_spec):
+        """Stripping the two probe families from the observe-on source
+        gives back the observe-off source exactly."""
         off = synthesize(alpha_spec, "one_min")
-        on = synthesize(alpha_spec, "one_min", SynthOptions(trace=True))
-        for name in off.entry_names:
-            assert _bytecode_len(off.namespace[name]) < _bytecode_len(
-                on.namespace[name]
-            )
-
-    def test_observe_alone_emits_no_prof_probes(self, alpha_spec):
         on = synthesize(alpha_spec, "one_min", SynthOptions(observe=True))
-        assert "_prof_hits" not in on.source
+        probes = ("self._obs_ep[", "_ph = self._prof_hits", "_ph[pc] = ")
+        probe_free = "".join(
+            line
+            for line in on.source.splitlines(keepends=True)
+            if not any(probe in line for probe in probes)
+        )
+        assert probe_free == off.source
+
+    def test_observe_emits_both_probe_families(self, alpha_spec):
+        on = synthesize(alpha_spec, "one_min", SynthOptions(observe=True))
+        assert "_obs_ep" in on.source
+        assert "_prof_hits" in on.source
 
 
 class TestBlockPath:
@@ -89,7 +95,10 @@ class TestBlockPath:
             alpha_spec, "block_min", SynthOptions(observe=True)
         )
         sim = generated.make(obs=make_observability())
-        assert sim.do_block.__func__ is SynthesizedSimulator._do_block_observed
+        assert (
+            sim.do_block.__func__
+            is SynthesizedSimulator._do_block_instrumented
+        )
 
     def test_unprofiled_instance_binds_no_profiled_twins(self, alpha_spec):
         generated = synthesize(alpha_spec, "block_min")
@@ -102,13 +111,15 @@ class TestBlockPath:
         generated = synthesize(
             alpha_spec, "block_min", SynthOptions(observe=True)
         )
-        sim = generated.make(obs=make_observability(profile=True))
-        assert sim.do_block.__func__ is SynthesizedSimulator._do_block_profiled
-        assert sim.run.__func__ is SynthesizedSimulator._run_profiled
+        sim = generated.make(obs=make_observability())
+        # one instrumented loop, and span-timed wrappers bound per instance
         assert (
-            sim._chain_link.__func__
-            is SynthesizedSimulator._chain_link_profiled
+            sim.do_block.__func__
+            is SynthesizedSimulator._do_block_instrumented
         )
+        for name in ("run", "_chain_link", "_do_syscall", "rollback"):
+            assert name in sim.__dict__
+            assert not hasattr(sim.__dict__[name], "__func__")
 
     def test_translated_blocks_identical_on_and_off(self, alpha_spec):
         """Per-block-execution cost is unchanged: probes live outside the
@@ -117,12 +128,8 @@ class TestBlockPath:
         sources = {}
         configs = {
             "off": (SynthOptions(), make_observability(enabled=False)),
+            # instrumentation times around the unit call, never inside it
             "observed": (SynthOptions(observe=True), make_observability()),
-            # profiling times around the unit call, never inside it
-            "profiled": (
-                SynthOptions(observe=True),
-                make_observability(profile=True),
-            ),
         }
         for label, (options, obs) in configs.items():
             generated = synthesize(alpha_spec, "block_min", options)
@@ -132,4 +139,4 @@ class TestBlockPath:
             sim.run(50)
             pc = next(iter(sim._cache))
             sources[label] = sim.block_source(pc)
-        assert sources["off"] == sources["observed"] == sources["profiled"]
+        assert sources["off"] == sources["observed"]

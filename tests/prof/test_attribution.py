@@ -24,7 +24,7 @@ def profiled_fib():
         "block_min",
         SynthOptions(observe=True),
     )
-    obs = make_observability(profile=True)
+    obs = make_observability()
     run = run_kernel(generated, "alpha", "fib", obs=obs)
     assert run.correct
     return obs, run
@@ -84,7 +84,22 @@ class TestHotBlockAttribution:
         assert obs.prof.spans.events  # raw events feed the Chrome trace
         assert obs.prof.spans.events_dropped == 0
 
-    def test_unprofiled_observability_keeps_the_null_profiler(self):
+
+class TestOneSwitch:
+    def test_plain_observability_always_profiles(self):
+        """A plain ``make_observability()`` handle profiles: Block runs
+        record spans and per-unit guest time, and an observe-on One
+        module fills the per-PC hit counters."""
+        spec = get_bundle("alpha").load_spec()
         obs = make_observability()
-        assert not obs.prof.enabled
-        assert obs.prof.guest.hot_blocks() == []
+        block = synthesize(spec, "block_min")
+        assert run_kernel(block, "alpha", "fib", obs=obs).correct
+        spans = {path[-1] for path, _node in obs.prof.spans.paths()}
+        assert {TRANSLATE, EXECUTE} <= spans
+        units = obs.prof.guest.units.values()
+        assert sum(stat.instructions for stat in units) > 0
+        assert sum(stat.ns for stat in units) > 0
+
+        one = synthesize(spec, "one_min", SynthOptions(observe=True))
+        assert run_kernel(one, "alpha", "fib", obs=obs).correct
+        assert obs.prof.guest.pc_hits

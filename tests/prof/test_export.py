@@ -95,7 +95,7 @@ class TestProfileDocument:
         assert doc["meta"]["isa"] == "alpha"
         assert EXECUTE in doc["spans"]
         assert doc["hot_blocks"][0]["end"] == 0x2000 + 16 * 4
-        assert doc["hot_pcs"][0] == {"pc": 0x1000, "hits": 5, "samples": 0}
+        assert doc["hot_pcs"][0] == {"pc": 0x1000, "hits": 5}
         json.dumps(doc)
 
 

@@ -1,14 +1,6 @@
-"""Unit tests for guest attribution: unit timing, probe hits, sampling."""
+"""Unit tests for guest attribution: unit timing and probe hits."""
 
-import time
-
-from repro.prof.guest import (
-    NULL_GUEST,
-    GuestProfiler,
-    HostCallProfiler,
-    NullGuestProfiler,
-    PCSampler,
-)
+from repro.prof.guest import NULL_GUEST, GuestProfiler, NullGuestProfiler
 
 
 class TestGuestProfiler:
@@ -55,25 +47,23 @@ class TestGuestProfiler:
         assert g.hot_blocks(ilen=4)[0]["end"] == 0x100C
         assert g.hot_blocks(ilen=2)[0]["end"] == 0x1006
 
-    def test_hot_pcs_merges_hits_and_samples(self):
+    def test_hot_pcs_merges_hit_counts(self):
         g = GuestProfiler()
-        g.add_pc_hits({0x10: 5, 0x20: 1})
-        g.add_pc_hits({0x10: 2})
-        g.add_samples({0x20: 9, 0x30: 3})
+        g.add_pc_hits({0x10: 5, 0x20: 1, 0x30: 3})
+        g.add_pc_hits({0x10: 2, 0x20: 2})
         rows = g.hot_pcs()
-        assert rows[0] == {"pc": 0x20, "hits": 1, "samples": 9}
-        assert rows[1] == {"pc": 0x10, "hits": 7, "samples": 0}
-        assert rows[2] == {"pc": 0x30, "hits": 0, "samples": 3}
+        assert rows[0] == {"pc": 0x10, "hits": 7}
+        assert rows[1] == {"pc": 0x20, "hits": 3}  # ties break by pc
+        assert rows[2] == {"pc": 0x30, "hits": 3}
         assert len(g.hot_pcs(limit=2)) == 2
 
     def test_clear_resets_foreign_time_too(self):
         g = GuestProfiler()
         g.add_unit_time(0x1000, 10, 1)
         g.add_pc_hits({1: 1})
-        g.add_samples({2: 2})
         g.foreign_ns = 123
         g.clear()
-        assert not g.units and not g.pc_hits and not g.samples
+        assert not g.units and not g.pc_hits
         assert g.foreign_ns == 0
 
 
@@ -83,7 +73,6 @@ class TestNullGuestProfiler:
         n.register_unit(1, 2)
         n.add_unit_time(1, 10, 1)
         n.add_pc_hits({1: 1})
-        n.add_samples({1: 1})
         n.clear()
         assert n.units == {}
         assert n.hot_blocks() == []
@@ -91,40 +80,3 @@ class TestNullGuestProfiler:
         assert n.foreign_ns == 0
         assert not n.enabled
         assert not NULL_GUEST.enabled
-
-
-class _Target:
-    pc = 0x4000
-
-
-class TestPCSampler:
-    def test_samples_target_pc(self):
-        sampler = PCSampler(_Target(), interval_us=100)
-        with sampler:
-            time.sleep(0.02)
-        assert sampler.taken > 0
-        assert sampler.counts.get(0x4000, 0) == sampler.taken
-
-    def test_stop_returns_histogram_and_joins(self):
-        sampler = PCSampler(_Target(), interval_us=100)
-        sampler.start()
-        time.sleep(0.005)
-        counts = sampler.stop()
-        assert counts is sampler.counts
-        assert sampler._thread is None
-
-
-class TestHostCallProfiler:
-    def test_records_function_time(self):
-        def workload():
-            return sum(range(100))
-
-        with HostCallProfiler() as prof:
-            workload()
-        stats = prof.stats
-        assert "workload" in stats
-        calls, ns = stats["workload"]
-        assert calls >= 1 and ns >= 0
-        top = prof.top(limit=5)
-        assert len(top) <= 5
-        assert all(set(row) == {"name", "calls", "ns"} for row in top)

@@ -8,9 +8,9 @@ validation with randomized instruction sequences.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.arch.faults import ExitProgram
+from repro.arch.faults import ExitProgram, IllegalInstruction
 from repro.synth import synthesize
 from repro.synth.interp import InterpretedSimulator
 
@@ -27,8 +27,12 @@ BUILDSETS = [
 ]
 
 SCRATCH = 0x4000  # data region for random loads/stores
+BASE = 14  # holds SCRATCH for the whole program
 
 regs = st.integers(min_value=0, max_value=15)
+#: destination registers: never the scratch base, so every store stays in
+#: the data region and cannot overwrite the program's own code
+dest_regs = st.sampled_from([r for r in range(16) if r != BASE])
 small_imm = st.integers(min_value=-100, max_value=100)
 mem_off = st.integers(min_value=0, max_value=255).map(lambda x: x * 8)
 
@@ -37,7 +41,7 @@ mem_off = st.integers(min_value=0, max_value=255).map(lambda x: x * 8)
 def random_program(draw):
     """A terminating toy program: forward branches only, then SYS."""
     length = draw(st.integers(min_value=1, max_value=25))
-    words = [toyasm.addi(14, 0, SCRATCH)]  # scratch base pointer
+    words = [toyasm.addi(BASE, 0, SCRATCH)]  # scratch base pointer
     for position in range(length):
         # A branch at body position p may skip at most to the final SYS:
         # its target index is p+2+d, the SYS sits at index length+1.
@@ -48,14 +52,16 @@ def random_program(draw):
         if choice <= 3:  # register ALU
             op = draw(st.sampled_from([0x01, 0x02, 0x03, 0x04, 0x05, 0x08]))
             words.append(
-                toyasm.rform(op, draw(regs), draw(regs), draw(regs))
+                toyasm.rform(op, draw(regs), draw(regs), draw(dest_regs))
             )
         elif choice == 4:
-            words.append(toyasm.addi(draw(regs), draw(regs), draw(small_imm)))
+            words.append(
+                toyasm.addi(draw(dest_regs), draw(regs), draw(small_imm))
+            )
         elif choice == 5:
-            words.append(toyasm.ldw(draw(regs), 14, draw(mem_off)))
+            words.append(toyasm.ldw(draw(dest_regs), BASE, draw(mem_off)))
         elif choice == 6:
-            words.append(toyasm.stw(draw(regs), 14, draw(mem_off)))
+            words.append(toyasm.stw(draw(regs), BASE, draw(mem_off)))
         else:  # forward branch (guarantees termination)
             disp = draw(st.integers(min_value=1, max_value=max_disp))
             op = draw(st.sampled_from(["beq", "bne"]))
@@ -124,8 +130,51 @@ class TestInterfaceEquivalence:
         assert outcome == reference
 
 
+#: ``stw`` at 0x34 overwrites the final SYS at 0x38 because the ADD at 0x18
+#: zeroed R14 (the scratch base): One runs on into zeroed memory and raises
+#: IllegalInstruction at 0x40, while Block keeps executing its stale
+#: translation of 0x38 and exits
+SELF_MODIFYING_PROGRAM = [
+    1074675712, 67108864, 1237319680, 67108864, 1073741824, 67108864,
+    67137536, 1237319680, 1237319680, 67108864, 67108864, 1237319680,
+    1073741824, 1304428600, 4227858432,
+]
+
+
+def _outcome(generated, words):
+    """Final state of a run, or the name of the fault that stopped it."""
+    try:
+        return _final_state(
+            lambda: generated.make(syscall_handler=toyasm.exit_handler()), words
+        )
+    except IllegalInstruction as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="translated Block units are not invalidated by stores into "
+    "their own code",
+)
+def test_block_min_sees_stores_into_translated_code(generators):
+    reference = _outcome(generators["one_all"], SELF_MODIFYING_PROGRAM)
+    if reference != "IllegalInstruction":
+        pytest.fail(f"one_all no longer faults on this program: {reference!r}")
+    assert _outcome(generators["block_min"], SELF_MODIFYING_PROGRAM) == reference
+
+
 class TestRollbackProperties:
     @given(random_program(), st.integers(min_value=1, max_value=30))
+    # a speculative store to a never-mapped page, fully rolled back
+    @example(
+        words=[
+            1074675712, 1073741824, 67108864, 67108864, 67108864, 67108864,
+            1237319680, 135163904, 67108864, 67108864, 67108864, 1304428544,
+            4227858432,
+        ],
+        steps=12,
+    )
     @settings(
         max_examples=20,
         deadline=None,
