@@ -20,7 +20,7 @@ def test_dce_ablation(benchmark, publish, publish_json):
         for buildset in ("block_min", "one_min"):
             out[(buildset, True)] = hostops_per_instruction("alpha", buildset)
             out[(buildset, False)] = hostops_per_instruction(
-                "alpha", buildset, options=SynthOptions(profile=True, dce=False)
+                "alpha", buildset, options=SynthOptions(dce=False)
             )
         out["mips_on"] = measure_buildset("alpha", "block_min").mips
         out["mips_off"] = measure_buildset(

@@ -19,7 +19,7 @@ def test_regcache_ablation(benchmark, publish, publish_json):
             "ops_on": hostops_per_instruction("alpha", "block_min"),
             "ops_off": hostops_per_instruction(
                 "alpha", "block_min",
-                options=SynthOptions(profile=True, regcache=False),
+                options=SynthOptions(regcache=False),
             ),
             "mips_on": measure_buildset("alpha", "block_min").mips,
             "mips_off": measure_buildset(

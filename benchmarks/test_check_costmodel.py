@@ -10,8 +10,8 @@ call-splitting cost host work, speculation is cheap but not free —
 is thus recoverable before ever running a workload.
 
 Kept out of tier-1 (this directory is not in ``testpaths``): it
-measures real host-op counts, which needs profile builds and a few
-seconds per ISA.
+measures real host-op counts under the host-op meter, a few seconds
+per ISA.
 """
 
 from repro.check.costmodel import compare_with_measured

@@ -20,8 +20,8 @@ verifies the emitted code exhibits them:
   the journal lifecycle is intact (CHK020, CHK021);
 * **detail monotonicity** — Min ⊆ Decode ⊆ All record-store sets per
   instruction across sibling interfaces (CHK030);
-* **zero-overhead residue** — observability- and profiling-off modules
-  contain no probe or counter residue (CHK040, CHK041).
+* **zero-overhead residue** — observe-off modules contain no probe
+  residue (CHK040).
 
 Diagnostics carry *two* locations: the generated line, and — through
 the provenance side-table emitted by :mod:`repro.synth.codegen` — the

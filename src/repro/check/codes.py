@@ -47,7 +47,6 @@ _REGISTRY: tuple[CodeInfo, ...] = (
     CodeInfo("CHK040", Severity.ERROR,
              "observability or profiling probe residue in a module "
              "synthesized with that layer off"),
-    CodeInfo("CHK041", Severity.ERROR, "profiling residue in generated module"),
     # -- translated-unit shape (superblocks and chaining) ----------------------
     CodeInfo("CHK050", Severity.ERROR,
              "translated unit failed static analysis"),

@@ -3,9 +3,10 @@
 The paper's Table III measures the *costs of detail*: how many extra
 host operations per guest instruction each step up in semantic,
 informational, or speculative detail buys.  The measured numbers come
-from profile builds (:mod:`repro.harness.hostops`) that count executed
-bytecode.  This module predicts the same quantities *statically*, from
-the generated modules alone:
+from :mod:`repro.harness.hostops`, which counts the bytecode that
+actually executes in generated code and the memory primitives it calls.
+This module predicts the same quantities *statically*, from the
+generated modules alone:
 
 * every interface entry function executes once per guest instruction,
   so its full static bytecode length is charged;
@@ -30,7 +31,9 @@ from __future__ import annotations
 
 import dis
 from dataclasses import dataclass, field as dc_field
+from types import CodeType
 
+from repro.arch.memory import Memory
 from repro.check.model import ModuleModel, calls
 
 #: Table III rows: (label, minuend buildset, subtrahend buildset).
@@ -60,8 +63,14 @@ class CostPrediction:
         return self.entry_cost + self.body_cost
 
 
-def _bytecode_length(fn) -> int:
-    return sum(1 for _ in dis.get_instructions(fn.__code__))
+def _static_cost(code: CodeType) -> int:
+    """Static bytecode length: our proxy for host instructions."""
+    return sum(1 for _ in dis.get_instructions(code))
+
+
+#: static cost charged per ``__mem.read`` / ``__mem.write`` call site
+MEM_READ_COST = _static_cost(Memory.read.__code__)
+MEM_WRITE_COST = _static_cost(Memory.write.__code__)
 
 
 def instruction_weights(spec) -> dict[str, float]:
@@ -94,12 +103,12 @@ def predict_costs(generated) -> CostPrediction:
         fn = namespace.get(fn_model.name)
         if fn is None:
             return 0.0
-        cost = float(_bytecode_length(fn))
+        cost = float(_static_cost(fn.__code__))
         for name, _node in calls(fn_model.node):
             if name == "__mem.read":
-                cost += generated.mem_read_cost
+                cost += MEM_READ_COST
             elif name == "__mem.write":
-                cost += generated.mem_write_cost
+                cost += MEM_WRITE_COST
         return cost
 
     entry_cost = sum(cost_of(fn) for fn in model.entry_functions())
@@ -141,12 +150,7 @@ def predict_block_costs(generated, image, abi) -> CostPrediction:
     for unit in walk_units(generated, image, abi):
         code = compile(unit.source, f"<unit {unit.pc:#x}>", "exec")
         unit_cost = float(
-            sum(
-                1
-                for const in code.co_consts
-                if hasattr(const, "co_code")
-                for _ in dis.get_instructions(const)
-            )
+            sum(_static_cost(c) for c in code.co_consts if isinstance(c, CodeType))
         )
         for node in _ast.walk(_ast.parse(unit.source)):
             if (
@@ -156,9 +160,9 @@ def predict_block_costs(generated, image, abi) -> CostPrediction:
                 and node.func.value.id == "__mem"
             ):
                 if node.func.attr.startswith("read"):
-                    unit_cost += generated.mem_read_cost
+                    unit_cost += MEM_READ_COST
                 elif node.func.attr.startswith("write"):
-                    unit_cost += generated.mem_write_cost
+                    unit_cost += MEM_WRITE_COST
         total_cost += unit_cost
         total_instructions += unit.length
     body_cost = total_cost / total_instructions if total_instructions else 0.0

@@ -25,6 +25,7 @@ from repro.adl.errors import SourceLoc
 from repro.check.codes import make_diagnostic
 from repro.diag.core import Diagnostic
 from repro.synth.provenance import SpecOrigin
+from repro.synth.synthesizer import SYNTH_FILE_PREFIX
 
 #: Record attributes that are interface bookkeeping, not spec fields.
 #: ``budget`` is the block interfaces' chaining allowance (how many more
@@ -103,7 +104,7 @@ class ModuleModel:
     @property
     def gen_filename(self) -> str:
         """Matches the filename ``synthesize`` compiles the module under."""
-        return f"<synth {self.spec.name}/{self.buildset.name}>"
+        return f"{SYNTH_FILE_PREFIX}{self.spec.name}/{self.buildset.name}>"
 
     def entry_functions(self) -> list[FunctionModel]:
         return [f for f in self.functions.values() if f.kind == "entry"]

@@ -1,6 +1,11 @@
 """Measurement harness: regenerates every table and figure of the paper."""
 
-from repro.harness.hostops import CostsOfDetail, hostops_per_instruction, table3
+from repro.harness.hostops import (
+    CostsOfDetail,
+    HostOpMeter,
+    hostops_per_instruction,
+    table3,
+)
 from repro.harness.loc import IsaCharacteristics, count_adl_lines, table1
 from repro.harness.speed import (
     DEFAULT_KERNELS,
@@ -16,6 +21,7 @@ from repro.harness.tables import render_table
 __all__ = [
     "CostsOfDetail",
     "DEFAULT_KERNELS",
+    "HostOpMeter",
     "INTERFACE_GRID",
     "IsaCharacteristics",
     "SpeedMeasurement",

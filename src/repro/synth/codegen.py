@@ -35,8 +35,6 @@ class SynthOptions:
 
     dce: bool = True
     regcache: bool = True
-    profile: bool = False
-    max_block: int = 32
     #: emit instrumentation probes into generated code: per-entrypoint
     #: invocation counts (``_obs_ep``) and per-guest-PC hit counts
     #: (``_prof_hits``, the :mod:`repro.prof` hot-PC attribution); off by
@@ -46,19 +44,13 @@ class SynthOptions:
     #: total instruction budget of one translation unit; when positive the
     #: block translator follows compile-time-constant unconditional control
     #: transfers across basic-block boundaries up to this many instructions
-    #: (each constituent basic block still capped at ``max_block``);
-    #: 0 restores classic single-basic-block units
+    #: (each constituent basic block still capped at the translator's
+    #: ``MAX_BLOCK``); 0 restores classic single-basic-block units
     superblock: int = 256
     #: patch translated units to transfer directly to their successors
     #: (QEMU-style lazy block chaining) instead of returning to the
     #: dispatch loop after every unit
     chain: bool = True
-    #: post-translation peephole optimizations inside translated blocks:
-    #: copy forwarding of single-use temporaries (``src1_val = __R_R_4;
-    #: dest_val = op(src1_val)`` becomes ``dest_val = op(__R_R_4)``),
-    #: inline expansion of signed-cast helpers (``sext``/``i8``..``i64``),
-    #: and branch-test simplification; block translator only
-    peephole: bool = True
 
 
 @dataclass
@@ -541,8 +533,6 @@ def generate_one_module(plan: BuildPlan) -> str:
             f"di.{name} = {name}",
             SpecOrigin(kind="store", detail=name, loc=_field_loc(spec, name)),
         )
-    if plan.options.profile:
-        writer.line("self._hops += __EP_COST__")
     if plan.options.observe:
         writer.line("_ph = self._prof_hits")
         writer.line("_ph[pc] = _ph.get(pc, 0) + 1")
@@ -618,8 +608,6 @@ def _emit_one_body(
     writer.line(f"def _b_{index}(self, di, pc, instr_bits):", body_origin)
     writer.indent()
     writer.line(f"# {instr.name}")
-    if plan.options.profile:
-        writer.line(f"self._hops += __BODY_COST_{index}__")
     writer.line("__state = self.state")
     if _mem_used(body_stmts):
         writer.line("__mem = __state.mem")
@@ -720,8 +708,6 @@ def generate_step_module(plan: BuildPlan) -> str:
         writer.indent()
         if plan.options.observe:
             writer.line(f"self._obs_ep[{ep.name!r}] += 1")
-        if plan.options.profile:
-            writer.line(f"self._hops += __EP_COST_{ep_index}__")
         predecode = SpecOrigin(kind="predecode", step=ep_index, loc=buildset.loc)
         if ep_index < plan.decode_ep_index:
             writer.line("__state = self.state")
@@ -958,8 +944,6 @@ def _emit_step_bodies(
                 SpecOrigin(instr=instr.name, kind="commit", step=ep,
                            loc=instr.loc),
             )
-        if plan.options.profile:
-            writer.line(f"self._hops += __SBODY_COST_{ep}_{index}__")
         sources[ep] = writer
         carried_defined |= defs_per_step[ep]
 

@@ -14,7 +14,6 @@ import types
 from dataclasses import dataclass
 
 from repro.arch.faults import ExitProgram
-from repro.arch.memory import Memory
 from repro.arch.state import ArchState
 from repro.obs.events import CACHE_FLUSH
 from repro.obs.probe import NULL_OBS
@@ -35,30 +34,6 @@ class RunResult:
         return f"<RunResult executed={self.executed} exited={self.exited}{status}>"
 
 
-class ProfilingMemory(Memory):
-    """Memory that charges host-operation costs to a counter holder.
-
-    Used only for Table III-style host-cost accounting; never in speed
-    benchmarks (the accounting itself would perturb them).
-    """
-
-    __slots__ = ("owner", "read_cost", "write_cost")
-
-    def __init__(self, endian: str, owner, read_cost: int, write_cost: int) -> None:
-        super().__init__(endian)
-        self.owner = owner
-        self.read_cost = read_cost
-        self.write_cost = write_cost
-
-    def read(self, addr: int, size: int) -> int:
-        self.owner._hops += self.read_cost
-        return super().read(addr, size)
-
-    def write(self, addr: int, size: int, value: int) -> None:
-        self.owner._hops += self.write_cost
-        super().write(addr, size, value)
-
-
 class SynthesizedSimulator:
     """One executable instance of a synthesized functional simulator."""
 
@@ -76,7 +51,6 @@ class SynthesizedSimulator:
         self.state = state if state is not None else self.spec.make_state()
         self.module_namespace = generated.namespace
         self.syscall_handler = syscall_handler
-        self._hops = 0
         #: per-guest-PC hit counts, written only by probes that exist
         #: when the module was synthesized with observe=True
         self._prof_hits: dict[int, int] = {}
@@ -102,13 +76,6 @@ class SynthesizedSimulator:
             # Selected once, here, so an uninstrumented instance keeps the
             # class's original (probe-free) methods.
             self._instrument()
-        if self.plan.options.profile:
-            profiled = ProfilingMemory(
-                self.spec.endian, self, generated.mem_read_cost,
-                generated.mem_write_cost,
-            )
-            profiled.restore(self.state.mem.snapshot())
-            self.state.mem = profiled
         self.di = self.new_dinst()
 
     # -- interface plumbing -----------------------------------------------------
@@ -379,11 +346,3 @@ class SynthesizedSimulator:
                 # chain past its caller's one-unit expectation.
                 di.budget = 0
         return RunResult(executed, False, None)
-
-    @property
-    def hostops(self) -> int:
-        """Host operations charged so far (profile builds only)."""
-        return self._hops
-
-    def reset_hostops(self) -> None:
-        self._hops = 0

@@ -8,13 +8,10 @@ and code cache.
 
 from __future__ import annotations
 
-import dis
-import re
 from dataclasses import dataclass, field
 
 from repro.adl.spec import IsaSpec
 from repro.arch.faults import ExitProgram, Fault, IllegalInstruction
-from repro.arch.memory import Memory
 from repro.ops import PURE_NAMESPACE
 from repro.synth.codegen import (
     BuildPlan,
@@ -30,9 +27,8 @@ from repro.synth.errors import SynthesisError
 from repro.synth.runtime import SynthesizedSimulator
 
 
-def _static_cost(fn) -> int:
-    """Static bytecode length: our proxy for host instructions."""
-    return sum(1 for _ in dis.get_instructions(fn.__code__))
+#: filename prefix of every synthesized module's code objects
+SYNTH_FILE_PREFIX = "<synth "
 
 
 @dataclass
@@ -44,8 +40,6 @@ class GeneratedSimulator:
     namespace: dict = field(repr=False)
     entry_names: tuple[str, ...]
     di_class: type
-    mem_read_cost: int = 0
-    mem_write_cost: int = 0
 
     def make(
         self, state=None, syscall_handler=None, obs=None
@@ -91,47 +85,6 @@ def _generate_block_module(plan: BuildPlan) -> str:
     return writer.source()
 
 
-#: unresolved static-cost placeholders (also matched by ``repro check``'s
-#: CHK041 residue pass)
-COST_PLACEHOLDER = re.compile(
-    r"__(?:EP_COST(?:_\d+)?|BODY_COST_\d+|SBODY_COST_\d+_\d+)__"
-)
-
-
-def _resolve_profile_placeholders(source: str, namespace: dict) -> str:
-    """Replace cost placeholders with measured static bytecode counts.
-
-    The module is compiled once with placeholders treated as globals (they
-    are never executed), each generated function is measured with ``dis``,
-    and the source is re-rendered with literal costs.
-    """
-    fn_costs = {
-        name: _static_cost(obj)
-        for name, obj in namespace.items()
-        if callable(obj) and hasattr(obj, "__code__")
-    }
-
-    def replace(match: re.Match) -> str:
-        token = match.group(0)
-        if token == "__EP_COST__":
-            # single-entry (One) module: cost of its entry function
-            entries = namespace.get("ENTRYPOINTS", ())
-            return str(fn_costs.get(entries[0], 0))
-        body = re.fullmatch(r"__BODY_COST_(\d+)__", token)
-        if body:
-            return str(fn_costs.get(f"_b_{body.group(1)}", 0))
-        ep = re.fullmatch(r"__EP_COST_(\d+)__", token)
-        if ep:
-            entries = namespace.get("ENTRYPOINTS", ())
-            return str(fn_costs.get(entries[int(ep.group(1))], 0))
-        sbody = re.fullmatch(r"__SBODY_COST_(\d+)_(\d+)__", token)
-        if sbody:
-            return str(fn_costs.get(f"_sb_{sbody.group(1)}_{sbody.group(2)}", 0))
-        return "0"  # pragma: no cover
-
-    return COST_PLACEHOLDER.sub(replace, source)
-
-
 def synthesize(
     spec: IsaSpec,
     buildset_name: str,
@@ -148,7 +101,7 @@ def synthesize(
     buildset_name:
         Which of the spec's buildsets (interfaces) to generate.
     options:
-        Ablation/measurement knobs (DCE, register caching, profiling).
+        Ablation/measurement knobs (DCE, register caching, probes).
     strict:
         Run the specification linter first and refuse to synthesize while
         any unsuppressed error-severity diagnostic stands; then run the
@@ -187,18 +140,9 @@ def synthesize(
     namespace = _base_namespace(spec)
     for table_name, table in decode_tables(plan).items():
         namespace[table_name] = table
-    exec(compile(source, f"<synth {spec.name}/{buildset_name}>", "exec"), namespace)
+    filename = f"{SYNTH_FILE_PREFIX}{spec.name}/{buildset_name}>"
+    exec(compile(source, filename, "exec"), namespace)
     _bind_body_tables(plan, namespace)
-
-    if options.profile and detail != "block":
-        source = _resolve_profile_placeholders(source, namespace)
-        namespace = _base_namespace(spec)
-        for table_name, table in decode_tables(plan).items():
-            namespace[table_name] = table
-        exec(
-            compile(source, f"<synth {spec.name}/{buildset_name}>", "exec"), namespace
-        )
-        _bind_body_tables(plan, namespace)
 
     entry_names = tuple(namespace["ENTRYPOINTS"])
     generated = GeneratedSimulator(
@@ -207,8 +151,6 @@ def synthesize(
         namespace=namespace,
         entry_names=entry_names if detail != "block" else ("do_block",),
         di_class=namespace["DynInst"],
-        mem_read_cost=_static_cost(Memory.read),
-        mem_write_cost=_static_cost(Memory.write),
     )
     if strict:
         # Translation validation (lazy import: repro.check imports this

@@ -49,6 +49,12 @@ from repro.synth.errors import SynthesisError
 from repro.synth.rewrite import RewriteContext, peephole_stmts, rewrite_stmts
 
 
+#: filename prefix of every translated unit's code objects
+BLOCK_FILE_PREFIX = "<block "
+
+#: instruction cap of one basic block within a translation unit
+MAX_BLOCK = 32
+
 #: Sentinel "length" of an unlinked chain cell: larger than any budget, so
 #: the generated fast path rejects an unlinked cell and a too-long
 #: successor with the same single comparison.
@@ -405,11 +411,6 @@ class BlockTranslator:
             for instr in spec.instructions
         }
 
-    #: Host ops charged per generated op for the (one-time) act of
-    #: translating a block; amortized over block executions exactly as the
-    #: paper amortizes its binary-translation cost into Table III.
-    TRANSLATE_COST_FACTOR = 30
-
     # -- public API -------------------------------------------------------------
 
     def translate(self, sim, start_pc: int, limit: int | None = None):
@@ -451,7 +452,7 @@ class BlockTranslator:
         namespace = dict(sim.module_namespace)
         for cell_name, cell in cells:
             namespace[cell_name] = cell
-        code = compile(source, f"<block {start_pc:#x}>", "exec")
+        code = compile(source, f"{BLOCK_FILE_PREFIX}{start_pc:#x}>", "exec")
         exec(code, namespace)
         fn = namespace[name]
         fn.__block_source__ = source
@@ -459,20 +460,6 @@ class BlockTranslator:
         fn.__block_pc__ = start_pc
         fn.__block_parts__ = self._last_parts
         fn.__chain_cells__ = tuple(cell for _cell_name, cell in cells)
-        if self.plan.options.profile:
-            import dis
-
-            cost = sum(1 for _ in dis.get_instructions(fn.__code__))
-            lines = source.splitlines(keepends=True)
-            source = lines[0] + f"    self._hops += {cost + 6}\n" + "".join(lines[1:])
-            exec(compile(source, f"<block {start_pc:#x}>", "exec"), namespace)
-            fn = namespace[name]
-            fn.__block_source__ = source
-            fn.__block_len__ = self._last_block_len
-            fn.__block_pc__ = start_pc
-            fn.__block_parts__ = self._last_parts
-            fn.__chain_cells__ = tuple(cell for _cell_name, cell in cells)
-            sim._hops += cost * self.TRANSLATE_COST_FACTOR
         return fn
 
     # -- translation ---------------------------------------------------------------
@@ -511,15 +498,15 @@ class BlockTranslator:
         ended_by_syscall = False
         chain = options.chain and limit is None
 
-        # Unit budget: one basic block (capped at max_block) classically;
+        # Unit budget: one basic block (capped at MAX_BLOCK) classically;
         # with superblock formation on, compile-time-constant control
         # transfers may be followed up to the superblock budget, each
-        # constituent basic block still capped at max_block.
-        unit_budget = options.superblock if options.superblock > 0 else options.max_block
+        # constituent basic block still capped at MAX_BLOCK.
+        unit_budget = options.superblock if options.superblock > 0 else MAX_BLOCK
         if limit is not None:
             unit_budget = min(unit_budget, limit)
 
-        while count < unit_budget and block_count < options.max_block:
+        while count < unit_budget and block_count < MAX_BLOCK:
             word = mem.read(addr, spec.ilen)
             index = spec.decode(word)
             if index is None:
@@ -962,17 +949,16 @@ class BlockTranslator:
         if not has_syscall:
             out.append(ast.parse(f"__trace.append({trace_values})").body[0])
 
+        # Copy forwarding: the statements above still thread values
+        # through per-operand temporaries; collapse single-use ones so a
+        # typical ALU instruction becomes one Python statement.
         spec = plan.spec
-        if plan.options.peephole:
-            # Copy forwarding: the statements above still thread values
-            # through per-operand temporaries; collapse single-use ones so
-            # a typical ALU instruction becomes one Python statement.
-            protected = frozenset(
-                set(spec.sregs) | set(spec.regfiles) | {"next_pc", "pc", "instr_bits"}
-            )
-            pure = plan.pure_names | frozenset(PURE_NAMESPACE)
-            out = forward_copies(out, protected, pure)
-            out = peephole_stmts(out)
+        protected = frozenset(
+            set(spec.sregs) | set(spec.regfiles) | {"next_pc", "pc", "instr_bits"}
+        )
+        pure = plan.pure_names | frozenset(PURE_NAMESPACE)
+        out = forward_copies(out, protected, pure)
+        out = peephole_stmts(out)
 
         # A compile-time-constant trace record can be hoisted out of the
         # instruction and batch-appended by the unit assembler.

@@ -60,62 +60,57 @@ class SpeculativeFunctionalFirstSimulator:
         return self.sim.state
 
     def run(self, max_instructions: int) -> TimingReport:
-        """Profiling-aware entry: a TIMING span brackets the whole drive."""
-        if self.obs.enabled:
-            with self.obs.prof.spans.span(TIMING_SPAN):
-                return self._run(max_instructions)
-        return self._run(max_instructions)
-
-    def _run(self, max_instructions: int) -> TimingReport:
-        report = TimingReport("speculative-functional-first")
-        sim = self.sim
-        di = sim.di
-        committed = 0
-        speculative = 0
-        try:
-            while committed + speculative < max_instructions:
-                sim.do_in_one(di)
-                speculative += 1
-                self._since_diverge += 1
-                self.timing.consume(
-                    di.pc,
-                    di.instr_bits,
-                    di.next_pc,
-                    getattr(di, "effective_addr", None),
-                    getattr(di, "branch_taken", None),
-                )
-                if (
-                    self.diverge_every
-                    and self._since_diverge >= self.diverge_every
-                    and speculative > 0
-                ):
-                    # Timing model detected divergence: undo the tail and
-                    # re-execute it down the (identical) corrected path.
-                    depth = min(self.diverge_depth, speculative)
-                    sim.rollback(depth)
-                    speculative -= depth
-                    self.rollbacks += 1
-                    self.rolled_back_instructions += depth
-                    self._since_diverge = 0
-                    if self.obs.enabled:
-                        # Depth histogram: one counter per rollback depth.
-                        self.obs.counters.inc("rollback.count")
-                        self.obs.counters.inc(f"rollback.depth.{depth}")
-                        self.obs.events.emit(
-                            ROLLBACK, depth=depth, committed=committed
-                        )
-                if speculative > self.window:
-                    commit = speculative - self.window
-                    sim.commit(commit)
-                    committed += commit
-                    speculative -= commit
-        except ExitProgram as exc:
-            report.exit_status = exc.status
-            committed += speculative
-        report = self.timing.fill_report(report)
-        report.organization = "speculative-functional-first"
-        report.rollbacks = self.rollbacks
-        report.rolled_back_instructions = self.rolled_back_instructions
-        if self.obs.enabled:
-            record_timing_stats(self.obs, "spec_functional_first", self.timing)
-        return report
+        """Drive the organization; a TIMING span brackets the whole drive."""
+        with self.obs.prof.spans.span(TIMING_SPAN):
+            report = TimingReport("speculative-functional-first")
+            sim = self.sim
+            di = sim.di
+            committed = 0
+            speculative = 0
+            try:
+                while committed + speculative < max_instructions:
+                    sim.do_in_one(di)
+                    speculative += 1
+                    self._since_diverge += 1
+                    self.timing.consume(
+                        di.pc,
+                        di.instr_bits,
+                        di.next_pc,
+                        getattr(di, "effective_addr", None),
+                        getattr(di, "branch_taken", None),
+                    )
+                    if (
+                        self.diverge_every
+                        and self._since_diverge >= self.diverge_every
+                        and speculative > 0
+                    ):
+                        # Timing model detected divergence: undo the tail and
+                        # re-execute it down the (identical) corrected path.
+                        depth = min(self.diverge_depth, speculative)
+                        sim.rollback(depth)
+                        speculative -= depth
+                        self.rollbacks += 1
+                        self.rolled_back_instructions += depth
+                        self._since_diverge = 0
+                        if self.obs.enabled:
+                            # Depth histogram: one counter per rollback depth.
+                            self.obs.counters.inc("rollback.count")
+                            self.obs.counters.inc(f"rollback.depth.{depth}")
+                            self.obs.events.emit(
+                                ROLLBACK, depth=depth, committed=committed
+                            )
+                    if speculative > self.window:
+                        commit = speculative - self.window
+                        sim.commit(commit)
+                        committed += commit
+                        speculative -= commit
+            except ExitProgram as exc:
+                report.exit_status = exc.status
+                committed += speculative
+            report = self.timing.fill_report(report)
+            report.organization = "speculative-functional-first"
+            report.rollbacks = self.rollbacks
+            report.rolled_back_instructions = self.rolled_back_instructions
+            if self.obs.enabled:
+                record_timing_stats(self.obs, "spec_functional_first", self.timing)
+            return report

@@ -115,25 +115,20 @@ class TimingFirstSimulator:
             self.cycles += 10  # flush penalty
 
     def run(self, max_instructions: int) -> TimingReport:
-        """Profiling-aware entry: a TIMING span brackets the whole drive."""
-        if self.obs.enabled:
-            with self.obs.prof.spans.span(TIMING_SPAN):
-                return self._run(max_instructions)
-        return self._run(max_instructions)
-
-    def _run(self, max_instructions: int) -> TimingReport:
-        report = TimingReport("timing-first")
-        try:
-            while self.instructions < max_instructions:
-                self.step_instruction()
-        except ExitProgram as exc:
-            report.exit_status = exc.status
-        report.instructions = self.instructions
-        report.cycles = self.cycles
-        report.mismatches = self.mismatches
-        report.branch_mispredicts = self.mispredicts
-        report.icache_misses = self.icache.stats.misses
-        report.dcache_misses = self.dcache.stats.misses
-        if self.obs.enabled:
-            record_timing_stats(self.obs, "timing_first", self)
-        return report
+        """Drive the organization; a TIMING span brackets the whole drive."""
+        with self.obs.prof.spans.span(TIMING_SPAN):
+            report = TimingReport("timing-first")
+            try:
+                while self.instructions < max_instructions:
+                    self.step_instruction()
+            except ExitProgram as exc:
+                report.exit_status = exc.status
+            report.instructions = self.instructions
+            report.cycles = self.cycles
+            report.mismatches = self.mismatches
+            report.branch_mispredicts = self.mispredicts
+            report.icache_misses = self.icache.stats.misses
+            report.dcache_misses = self.dcache.stats.misses
+            if self.obs.enabled:
+                record_timing_stats(self.obs, "timing_first", self)
+            return report

@@ -1,7 +1,7 @@
 """Unit tests for the static host-op cost model.
 
 The sign-agreement comparison against *measured* Table III deltas lives
-in benchmarks/test_check_costmodel.py (it needs profile builds); these
+in benchmarks/test_check_costmodel.py (it runs workloads); these
 tests pin the model's spec-derived structure, which needs no execution.
 """
 

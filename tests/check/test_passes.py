@@ -227,27 +227,6 @@ class TestZeroOverheadResidue:
         assert "_prof_hits" in gen_observe.source
         assert "CHK040" not in codes_of(check_generated(gen_observe))
 
-    def test_chk041_hops_residue_in_nonprofile_module(self, gen_one_all):
-        source = replaced(
-            gen_one_all,
-            "__state.pc = next_pc",
-            "__state.pc = next_pc\n    self._hops += 1",
-        )
-        result = check_generated(gen_one_all, source)
-        assert codes_of(result) == ["CHK041"]
-
-    def test_chk041_unresolved_placeholder_in_profile_module(self, toy_spec):
-        from repro.synth import SynthOptions, synthesize
-
-        generated = synthesize(toy_spec, "one_all", SynthOptions(profile=True))
-        source = generated.source.replace(
-            "__state.pc = next_pc",
-            "self._hops += __BODY_COST_999__\n    __state.pc = next_pc",
-            1,
-        )
-        result = check_generated(generated, source)
-        assert codes_of(result) == ["CHK041"]
-
 
 class TestAttribution:
     """Findings point at both the generated line and the .lis construct."""
@@ -280,7 +259,7 @@ class TestAttribution:
     "code",
     [
         "CHK000", "CHK001", "CHK002", "CHK003", "CHK010", "CHK011",
-        "CHK020", "CHK021", "CHK030", "CHK040", "CHK041",
+        "CHK020", "CHK021", "CHK030", "CHK040",
     ],
 )
 def test_code_is_registered(code):

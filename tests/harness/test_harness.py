@@ -1,9 +1,12 @@
 """Unit tests for the measurement harness."""
 
+import sys
+
 import pytest
 
 from repro.harness import (
     INTERFACE_GRID,
+    HostOpMeter,
     count_adl_lines,
     hostops_per_instruction,
     measure_buildset,
@@ -11,6 +14,11 @@ from repro.harness import (
     table1,
 )
 from repro.harness.loc import IsaCharacteristics
+from repro.isa.base import get_bundle
+from repro.synth import synthesize
+from repro.sysemu.loader import load_image
+from repro.sysemu.syscalls import OSEmulator
+from repro.workloads import SUITE, assemble_kernel
 
 
 class TestLoc:
@@ -66,10 +74,57 @@ class TestMeasurement:
         assert m.instructions > 0
 
     def test_hostops_smoke(self):
-        ops = hostops_per_instruction(
-            "alpha", "one_min", kernels=("fib",), scale=0.2
+        first, second = (
+            hostops_per_instruction("alpha", "one_min", kernels=("fib",), scale=0.2)
+            for _ in range(2)
         )
-        assert 50 < ops < 5000
+        assert 50 < first < 5000
+        assert first == second  # executed bytecode is deterministic
+
+
+def _warm_rerun_hostops(buildset: str) -> float:
+    """Host ops/instr of a metered rerun of alpha sieve (scale 0.3)."""
+    bundle = get_bundle("alpha")
+    generated = synthesize(bundle.load_spec(), buildset)
+    kernel = SUITE["sieve"]
+    image = assemble_kernel("alpha", kernel, int(kernel.test_n * 0.3))
+    sim = generated.make(syscall_handler=OSEmulator(bundle.abi))
+    load_image(sim.state, image, bundle.abi)
+    snapshot = sim.state.snapshot()
+    assert sim.run(50_000_000).exited
+    sim.state.restore(snapshot)
+    sim.syscall_handler = OSEmulator(bundle.abi)
+    with HostOpMeter() as meter:
+        result = sim.run(50_000_000)
+    assert result.exited
+    return meter.ops / result.executed
+
+
+class TestHostOpMeter:
+    def test_warm_block_calls_cost_less_than_one_calls(self):
+        # Translated units are charged for the bytecode they run, not
+        # their whole static length: side exits that leave a superblock
+        # early must not make batching look expensive.
+        assert _warm_rerun_hostops("block_min") < _warm_rerun_hostops("one_min")
+
+    def test_restores_installed_tracer(self):
+        def tracer(frame, event, arg):
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            with HostOpMeter():
+                assert sys.gettrace() is not tracer
+            assert sys.gettrace() is tracer
+        finally:
+            sys.settrace(previous)
+
+    def test_counts_only_generated_code(self):
+        with HostOpMeter() as meter:
+            sum(range(1000))
+            sorted(str(n) for n in range(100))
+        assert meter.ops == 0
 
 
 class TestRenderTable:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.arch.faults import IllegalInstruction
+from repro.harness.hostops import HostOpMeter
 from repro.synth import SynthOptions, SynthesisError, synthesize
+from repro.synth.translator import MAX_BLOCK
 
 from tests.synth import toyasm
 
@@ -235,12 +237,11 @@ class TestBlockTranslation:
         src = sim.block_source(0x08)
         assert "__R_R_" not in src
 
-    def test_long_straightline_block_capped(self, toy_spec):
-        gen = synthesize(toy_spec, "block_min", SynthOptions(max_block=8))
-        sim = gen.make()
+    def test_long_straightline_block_capped(self, generators):
+        sim = generators["block_min"].make()
         toyasm.load_words(sim.state, [toyasm.addi(1, 1, 1)] * 40)
         sim.do_block(sim.di)
-        assert sim.di.count == 8
+        assert sim.di.count == MAX_BLOCK == 32
 
 
 class TestSpeculation:
@@ -338,27 +339,28 @@ class TestStepInterface:
 
 
 class TestProfileMode:
-    def test_hostops_counted(self, toy_spec):
-        gen = synthesize(toy_spec, "one_min", SynthOptions(profile=True))
+    """Host-op metering (:class:`repro.harness.hostops.HostOpMeter`)."""
+
+    @staticmethod
+    def metered_run(gen):
         sim = gen.make(syscall_handler=toyasm.exit_handler())
         toyasm.load_words(sim.state, toyasm.SUM_LOOP)
-        sim.run(10_000)
-        assert sim.hostops > 0
+        with HostOpMeter() as meter:
+            result = sim.run(10_000)
+        return result, meter.ops
 
-    def test_all_costs_more_than_min(self, toy_spec):
+    def test_hostops_counted(self, generators):
+        _result, ops = self.metered_run(generators["one_min"])
+        assert ops > 0
+
+    def test_all_costs_more_than_min(self, generators):
         costs = {}
         for name in ("one_min", "one_all"):
-            gen = synthesize(toy_spec, name, SynthOptions(profile=True))
-            sim = gen.make(syscall_handler=toyasm.exit_handler())
-            toyasm.load_words(sim.state, toyasm.SUM_LOOP)
-            result = sim.run(10_000)
-            costs[name] = sim.hostops / result.executed
+            result, ops = self.metered_run(generators[name])
+            costs[name] = ops / result.executed
         assert costs["one_all"] > costs["one_min"]
 
-    def test_profile_mode_preserves_semantics(self, toy_spec):
-        gen = synthesize(toy_spec, "step_all", SynthOptions(profile=True))
-        sim = gen.make(syscall_handler=toyasm.exit_handler())
-        toyasm.load_words(sim.state, toyasm.SUM_LOOP)
-        result = sim.run(10_000)
+    def test_profile_mode_preserves_semantics(self, generators):
+        result, ops = self.metered_run(generators["step_all"])
         assert result.exit_status == toyasm.SUM_LOOP_RESULT
-        assert sim.hostops > 0
+        assert ops > 0
