@@ -53,11 +53,16 @@ def publish_json(results_dir):
 
     The rendered .txt tables are for humans; these documents are for
     scripts (regression tracking, plotting) and mirror the same numbers
-    before any rounding-for-display.
+    before any rounding-for-display.  ``update=True`` merges the payload's
+    top-level keys into the existing document, for an experiment whose
+    measurements are split over several tests.
     """
 
-    def _publish_json(exp_id: str, payload: dict) -> None:
+    def _publish_json(exp_id: str, payload: dict, update: bool = False) -> None:
         path = os.path.join(results_dir, f"BENCH_{exp_id}.json")
+        if update and os.path.exists(path):
+            with open(path) as handle:
+                payload = {**json.load(handle), **payload}
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -7,14 +7,22 @@ strongest at Block detail, where decode-time constant propagation leaves
 whole chains of dead assignments behind; at One detail on these RISC
 subsets nearly every computed value doubles as semantics, so the saving
 is small — an honest negative result recorded in EXPERIMENTS.md.
+
+Host ops are deterministic, so CI gates on them; the wall-clock gate is
+a separate test, run by hand on a quiet machine.
 """
 
 from repro.harness import measure_buildset, render_table
 from repro.harness.hostops import hostops_per_instruction
 from repro.synth import SynthOptions
 
+COMMON = {
+    "experiment": "ablation_dce",
+    "unit": "host ops/instr (hostops) and geomean MIPS (mips)",
+}
 
-def test_dce_ablation(benchmark, publish, publish_json):
+
+def test_dce_ablation_hostops(benchmark, publish, publish_json):
     def measure():
         out = {}
         for buildset in ("block_min", "one_min"):
@@ -22,18 +30,13 @@ def test_dce_ablation(benchmark, publish, publish_json):
             out[(buildset, False)] = hostops_per_instruction(
                 "alpha", buildset, options=SynthOptions(dce=False)
             )
-        out["mips_on"] = measure_buildset("alpha", "block_min").mips
-        out["mips_off"] = measure_buildset(
-            "alpha", "block_min", options=SynthOptions(dce=False)
-        ).mips
         return out
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
     publish_json(
         "A1",
         {
-            "experiment": "ablation_dce",
-            "unit": "host ops/instr (hostops) and geomean MIPS (mips)",
+            **COMMON,
             "hostops": {
                 "block_min": {
                     "dce_on": results[("block_min", True)],
@@ -44,11 +47,8 @@ def test_dce_ablation(benchmark, publish, publish_json):
                     "dce_off": results[("one_min", False)],
                 },
             },
-            "mips": {
-                "block_min_dce_on": results["mips_on"],
-                "block_min_dce_off": results["mips_off"],
-            },
         },
+        update=True,
     )
     rows = [
         ["block_min", "on", round(results[("block_min", True)], 1)],
@@ -67,11 +67,35 @@ def test_dce_ablation(benchmark, publish, publish_json):
     )
     block_saved = results[("block_min", False)] - results[("block_min", True)]
     one_saved = results[("one_min", False)] - results[("one_min", True)]
-    mips_gain = results["mips_on"] / results["mips_off"]
     print(
         f"\nDCE saves {block_saved:.1f} ops/instr at Block/Min "
-        f"({mips_gain:.2f}x MIPS) and {one_saved:.1f} at One/Min"
+        f"and {one_saved:.1f} at One/Min"
     )
     assert block_saved > 20  # the translator relies on DCE heavily
     assert one_saved >= 0  # never hurts
+
+
+def test_dce_ablation_wallclock(benchmark, publish_json):
+    def measure():
+        return {
+            "mips_on": measure_buildset("alpha", "block_min").mips,
+            "mips_off": measure_buildset(
+                "alpha", "block_min", options=SynthOptions(dce=False)
+            ).mips,
+        }
+
+    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    publish_json(
+        "A1",
+        {
+            **COMMON,
+            "mips": {
+                "block_min_dce_on": results["mips_on"],
+                "block_min_dce_off": results["mips_off"],
+            },
+        },
+        update=True,
+    )
+    mips_gain = results["mips_on"] / results["mips_off"]
+    print(f"\nDCE speeds Block/Min up {mips_gain:.2f}x (MIPS)")
     assert mips_gain > 1.3

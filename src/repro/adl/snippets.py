@@ -409,7 +409,9 @@ def propagate_constants(
     """
     env = dict(env)
     promoted_names: set[str] = set()
-    current = stmts
+    # Folding rewrites trees in place: copy the caller's statements once;
+    # later rounds fold the trees the previous round built.
+    current = [ast.parse(ast.unparse(stmt)).body[0] for stmt in stmts]
     for _ in range(max_rounds):
         # Unlike fold_constants, keep promoted single-assignment names in
         # the environment even though they are written inside the snippet.
@@ -418,8 +420,7 @@ def propagate_constants(
         folder = _Folder(live_env, funcs or {})
         folded: list[ast.stmt] = []
         for stmt in current:
-            copied = ast.parse(ast.unparse(stmt)).body[0]
-            result = folder.visit(copied)
+            result = folder.visit(stmt)
             if isinstance(result, list):
                 folded.extend(result)
             elif result is not None:

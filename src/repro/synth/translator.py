@@ -13,11 +13,14 @@ Our translator reproduces that structure in Python:
   operand identifiers become compile-time constants
   (:func:`repro.adl.snippets.propagate_constants`);
 * register values are cached in Python locals across the instructions of
-  a block, with dirty values flushed once at block exit
-  (:class:`RegisterCache`);
+  a unit: each instruction's accesses are renamed once
+  (:func:`cache_registers`), and the unit assembler loads a register
+  before its first use and stores dirty values back at the unit's exits;
 * information hidden by the buildset is removed by the same dead-code
   elimination used for One/Step interfaces;
-* translated blocks are memoized in a per-simulator code cache.
+* each ``(addr, word)`` is translated once into a :class:`Piece` of
+  source text, which units join without re-parsing;
+* translated units are memoized in a per-simulator code cache.
 """
 
 from __future__ import annotations
@@ -78,14 +81,6 @@ def reset_chain_cell(cell: list) -> None:
     cell[2] = -1
 
 
-def _instr_writes_next_pc(instr: Instruction, post_actions: tuple[str, ...]) -> bool:
-    for action in post_actions:
-        for stmt in instr.action_code.get(action, ()):
-            if "next_pc" in analyze_stmt(stmt).writes:
-                return True
-    return False
-
-
 def _static_const_next_pc(stmts: list[ast.stmt]) -> int | None:
     """The constant target of a single unconditional ``next_pc`` write.
 
@@ -113,16 +108,21 @@ def _static_const_next_pc(stmts: list[ast.stmt]) -> int | None:
     return value if writes == 1 else None
 
 
-def _next_pc_arm_consts(stmts: list[ast.stmt]) -> frozenset[int]:
-    """Constant values any arm of this instruction may give ``next_pc``.
+def _next_pc_consts(
+    stmts: list[ast.stmt],
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Constant values this instruction may give ``next_pc``.
 
-    Collects direct constant assignments and the constant arms of
-    conditional expressions.  Superblock formation uses this to tell a
-    conditional branch (one arm is the textual fall-through, so the unit
-    may continue across it with a guarded side exit) from an indirect
-    jump, whose successor is not any compile-time constant.
+    Returns ``(direct, arms)``: the constants of plain ``next_pc = K``
+    assignments, and those plus the constant arms of conditional
+    expressions.  ``direct`` names a runtime exit's compile-time-constant
+    successors.  Superblock formation uses ``arms`` to tell a conditional
+    branch (one arm is the textual fall-through, so the unit may continue
+    across it with a guarded side exit) from an indirect jump, whose
+    successor is not any compile-time constant.
     """
-    consts: set[int] = set()
+    direct: set[int] = set()
+    arms: set[int] = set()
     for stmt in stmts:
         for node in ast.walk(stmt):
             if not (
@@ -133,15 +133,16 @@ def _next_pc_arm_consts(stmts: list[ast.stmt]) -> frozenset[int]:
             ):
                 continue
             value = node.value
-            arms = (
+            if isinstance(value, ast.Constant) and isinstance(value.value, int):
+                direct.add(value.value)
+            for arm in (
                 (value.body, value.orelse)
                 if isinstance(value, ast.IfExp)
                 else (value,)
-            )
-            for arm in arms:
+            ):
                 if isinstance(arm, ast.Constant) and isinstance(arm.value, int):
-                    consts.add(arm.value)
-    return frozenset(consts)
+                    arms.add(arm.value)
+    return frozenset(direct), frozenset(arms)
 
 
 def _instr_has_syscall(instr: Instruction, post_actions: tuple[str, ...]) -> bool:
@@ -152,196 +153,134 @@ def _instr_has_syscall(instr: Instruction, post_actions: tuple[str, ...]) -> boo
     return False
 
 
-class RegisterCache:
-    """Caches register-file elements in locals across a block.
+#: a cached register: (register file, constant index)
+RegKey = tuple[str, int]
 
-    A cached register ``R[5]`` lives in local ``__R_R_5``.  Reads load it
-    on first use; writes mark it dirty; :meth:`flush` stores dirty values
-    back.  Accesses with non-constant indices conservatively flush (and,
-    for writes, invalidate) the whole file.
-    """
 
+def register_local(file: str, index: int) -> str:
+    """The unit-local variable caching register ``file[index]``."""
+    return f"__R_{file}_{index}"
+
+
+class _RenameRegisters(ast.NodeTransformer):
     def __init__(self, regfiles: frozenset[str]) -> None:
         self.regfiles = regfiles
-        self.loaded: set[tuple[str, int]] = set()
-        self.dirty: set[tuple[str, int]] = set()
 
-    @staticmethod
-    def local(file: str, index: int) -> str:
-        return f"__R_{file}_{index}"
+    def visit_Subscript(self, node: ast.Subscript):  # noqa: N802 - ast API
+        self.generic_visit(node)
+        if isinstance(node.value, ast.Name) and node.value.id in self.regfiles:
+            local = register_local(node.value.id, node.slice.value)
+            return ast.copy_location(ast.Name(local, node.ctx), node)
+        return node
 
-    def _load_stmt(self, file: str, index: int) -> ast.stmt:
-        return ast.parse(f"{self.local(file, index)} = {file}[{index}]").body[0]
 
-    def _store_stmt(self, file: str, index: int) -> ast.stmt:
-        return ast.parse(f"{file}[{index}] = {self.local(file, index)}").body[0]
+def cache_registers(
+    stmts: list[ast.stmt], regfiles: frozenset[str]
+) -> tuple[list[ast.stmt], tuple[RegKey, ...], frozenset[RegKey]] | None:
+    """Rename one instruction's register accesses to unit-local variables.
 
-    def flush(self, files: set[str] | None = None) -> list[ast.stmt]:
-        """Stores for dirty registers (all files, or just ``files``)."""
-        out = []
-        for file, index in sorted(self.dirty):
-            if files is None or file in files:
-                out.append(self._store_stmt(file, index))
-        if files is None:
-            self.dirty.clear()
-        else:
-            self.dirty = {k for k in self.dirty if k[0] not in files}
-        return out
+    Every constant-index access ``R[5]``, load or store, becomes the local
+    ``__R_R_5``.  The rename depends on the instruction alone, so it runs
+    once per ``(addr, word)``; :meth:`BlockTranslator.block_source`
+    supplies the context, loading a register before the first piece that
+    needs it and storing dirty ones back at every exit.
 
-    def spill(self) -> list[ast.stmt]:
-        """Stores for dirty registers *without* clearing the dirty set.
+    Returns ``(renamed statements, keys needing a load, keys written)``,
+    or None when some access has a non-constant index: such an
+    instruction runs against the register files themselves.  A key needs
+    a load when its first access is a read, or a write other than a
+    top-level unconditional assignment — a write under an ``if`` may not
+    happen, and the local must then still hold the old value.  Loads are
+    listed in first-access order.
+    """
 
-        Used for superblock side exits: the stores commit current values
-        on the exiting path, while the fall-through path keeps its cached
-        locals (and the final flush) intact.
-        """
-        return [self._store_stmt(file, index) for file, index in sorted(self.dirty)]
-
-    def invalidate(self, files: set[str] | None = None) -> None:
-        if files is None:
-            self.loaded.clear()
-            self.dirty.clear()
-        else:
-            self.loaded = {k for k in self.loaded if k[0] not in files}
-            self.dirty = {k for k in self.dirty if k[0] not in files}
-
-    # -- statement transformation -------------------------------------------
-
-    def transform(self, stmts: list[ast.stmt]) -> list[ast.stmt]:
-        out: list[ast.stmt] = []
-        for stmt in stmts:
-            out.extend(self._transform_stmt(stmt))
-        return out
-
-    def _transform_stmt(self, stmt: ast.stmt) -> list[ast.stmt]:
-        if isinstance(stmt, ast.If):
-            return self._transform_if(stmt)
-        prelude: list[ast.stmt] = []
-        # Handle a direct register store target.
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if self._is_reg_subscript(target):
-                file = target.value.id
-                index = target.slice
-                new_value, more = self._transform_expr(stmt.value)
-                prelude.extend(more)
-                if isinstance(index, ast.Constant):
-                    key = (file, index.value)
-                    if key not in self.loaded:
-                        self.loaded.add(key)
-                    self.dirty.add(key)
-                    assign = ast.parse(
-                        f"{self.local(file, index.value)} = 0"
-                    ).body[0]
-                    assign.value = new_value
-                    return prelude + [ast.fix_missing_locations(assign)]
-                # Non-constant store: flush + invalidate the file.
-                prelude.extend(self.flush({file}))
-                self.invalidate({file})
-                new_index, more = self._transform_expr(index)
-                prelude.extend(more)
-                assign = ast.Assign(
-                    [ast.Subscript(ast.Name(file, ast.Load()), new_index, ast.Store())],
-                    new_value,
-                )
-                return prelude + [ast.fix_missing_locations(assign)]
-        # Generic statement: rewrite contained loads.
-        new_stmt, more = self._transform_reads_in_stmt(stmt)
-        return more + [new_stmt]
-
-    def _is_reg_subscript(self, node: ast.expr) -> bool:
+    def is_register(node: ast.AST) -> bool:
         return (
             isinstance(node, ast.Subscript)
             and isinstance(node.value, ast.Name)
-            and node.value.id in self.regfiles
+            and node.value.id in regfiles
         )
 
-    def _reads_transformer(self, prelude: list[ast.stmt]) -> ast.NodeTransformer:
-        cache = self
+    def accesses(node: ast.AST) -> list[ast.Subscript]:
+        return [sub for sub in ast.walk(node) if is_register(sub)]
 
-        class Reads(ast.NodeTransformer):
-            def visit_Subscript(self, node: ast.Subscript):
-                self.generic_visit(node)
-                if not isinstance(node.ctx, ast.Load):
-                    return node
-                if not cache._is_reg_subscript(node):
-                    return node
-                file = node.value.id
-                index = node.slice
-                if isinstance(index, ast.Constant):
-                    key = (file, index.value)
-                    if key not in cache.loaded:
-                        prelude.append(cache._load_stmt(file, index.value))
-                        cache.loaded.add(key)
-                    return ast.copy_location(
-                        ast.Name(cache.local(file, index.value), ast.Load()), node
-                    )
-                # Non-constant read: dirty values must reach the list first.
-                prelude.extend(cache.flush({file}))
-                return node
+    loads: list[RegKey] = []
+    seen: set[RegKey] = set()
+    writes: set[RegKey] = set()
+    for stmt in stmts:
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and is_register(stmt.targets[0])
+        ):
+            # The value is evaluated before the store, which then defines
+            # the register outright.
+            target = stmt.targets[0]
+            nodes = accesses(stmt.value) + [target]
+        else:
+            target = None
+            nodes = accesses(stmt)
+        for node in nodes:
+            if not isinstance(node.slice, ast.Constant):
+                return None
+            key = (node.value.id, node.slice.value)
+            if isinstance(node.ctx, ast.Store):
+                writes.add(key)
+            if key not in seen:
+                seen.add(key)
+                if node is not target:
+                    loads.append(key)
+    rename = _RenameRegisters(regfiles)
+    renamed = [rename.visit(stmt) for stmt in stmts]
+    return renamed, tuple(loads), frozenset(writes)
 
-        return Reads()
 
-    def _transform_expr(self, expr: ast.expr) -> tuple[ast.expr, list[ast.stmt]]:
-        prelude: list[ast.stmt] = []
-        new_expr = ast.fix_missing_locations(
-            self._reads_transformer(prelude).visit(expr)
-        )
-        return new_expr, prelude
+@dataclass(frozen=True)
+class Piece:
+    """One guest instruction at one address, translated once.
 
-    def _transform_reads_in_stmt(self, stmt: ast.stmt) -> tuple[ast.stmt, list[ast.stmt]]:
-        prelude: list[ast.stmt] = []
-        new_stmt = ast.fix_missing_locations(
-            self._reads_transformer(prelude).visit(stmt)
-        )
-        return new_stmt, prelude
+    A piece depends only on ``(addr, word)`` and the build plan, so the
+    translator memoizes it on that key: superblock formation and
+    self-loop unrolling reuse it for every copy, and a changed memory
+    word changes the key, which keeps the memo coherent with
+    self-modifying code.  The source is final text — journal, defaults,
+    the register-renamed statements and the trace append, after copy
+    forwarding and the peephole — and the other fields are the facts unit
+    assembly needs, so joining pieces into a unit parses nothing.
+    """
 
-    def _transform_if(self, stmt: ast.If) -> list[ast.stmt]:
-        # Hoist loads for every constant register access in either branch so
-        # cached locals exist regardless of the path taken; writes inside
-        # branches then dirty the local, and the final flush stores either
-        # the new or the (reloaded) old value - both correct.
-        prelude: list[ast.stmt] = []
-        nonconst = False
-        const_keys: list[tuple[str, int]] = []
-        for node in ast.walk(stmt):
-            if self._is_reg_subscript(node):
-                index = node.slice
-                if isinstance(index, ast.Constant):
-                    const_keys.append((node.value.id, index.value))
-                else:
-                    nonconst = True
-        if nonconst:
-            # Bail out of caching around this statement entirely.
-            prelude.extend(self.flush())
-            self.invalidate()
-            return prelude + [stmt]
-        for key in const_keys:
-            if key not in self.loaded:
-                prelude.append(self._load_stmt(*key))
-                self.loaded.add(key)
-
-        cache = self
-
-        class Rename(ast.NodeTransformer):
-            def visit_Subscript(self, node: ast.Subscript):
-                self.generic_visit(node)
-                if cache._is_reg_subscript(node) and isinstance(
-                    node.slice, ast.Constant
-                ):
-                    key = (node.value.id, node.slice.value)
-                    if isinstance(node.ctx, ast.Store):
-                        cache.dirty.add(key)
-                        return ast.copy_location(
-                            ast.Name(cache.local(*key), ast.Store()), node
-                        )
-                    return ast.copy_location(
-                        ast.Name(cache.local(*key), ast.Load()), node
-                    )
-                return node
-
-        new_if = ast.fix_missing_locations(Rename().visit(stmt))
-        return prelude + [new_if]
+    #: syscall only: the lines that must run before the handler (journal,
+    #: defaults, ``__state.pc`` and the trace append)
+    head: tuple[str, ...]
+    #: the remaining source lines; a constant trace record's append last
+    body: tuple[str, ...]
+    #: register accesses go through unit locals (see cache_registers)
+    cached: bool
+    #: registers whose first access needs a load, in first-access order
+    loads: tuple[RegKey, ...]
+    #: registers the piece writes, dirty after it
+    writes: frozenset[RegKey]
+    sreg_reads: frozenset[str]
+    sreg_writes: frozenset[str]
+    #: register files the source text names (uncached pieces only)
+    regfiles: frozenset[str]
+    mem_used: bool
+    syscall: bool
+    #: this encoding writes ``next_pc``
+    control: bool
+    #: ``next_pc`` as folded at decode time, when constant
+    next_pc: int | None
+    #: the successor when it is a compile-time certainty
+    next_const: int | None
+    #: constant ``next_pc`` assignments, and those plus the constant
+    #: arms of conditional expressions (see _next_pc_consts)
+    exit_consts: frozenset[int]
+    arm_consts: frozenset[int]
+    #: the trace record, as a tuple expression
+    trace: str
+    #: the record is a literal, so the unit assembler may batch-append it
+    trace_const: bool
+    dce_dropped: int
 
 
 @dataclass
@@ -393,23 +332,23 @@ class BlockTranslator:
         self._last_parts = 1
         #: chain cells created for the most recent unit: (global name, cell)
         self._last_cells: list[tuple[str, list]] = []
-        #: memoized decode-time front half of piece translation,
-        #: keyed by (addr, word) — see :meth:`_instruction_core`
-        self._piece_cache: dict[tuple[int, int], dict] = {}
+        #: translated instructions, keyed by (addr, word) — see :class:`Piece`
+        self._piece_cache: dict[tuple[int, int], Piece] = {}
         #: compile-time-constant exit targets of the most recent unit
         #: (consumed by the static block walk in :mod:`repro.check`)
         self.last_exit_targets: tuple[int, ...] = ()
         spec = plan.spec
         self._fold_funcs = dict(PURE_NAMESPACE)
         self._fold_funcs.update(spec.helpers)
-        self._control = {
-            instr.name: _instr_writes_next_pc(instr, plan.post_actions)
-            for instr in spec.instructions
-        }
         self._syscalls = {
             instr.name: _instr_has_syscall(instr, plan.post_actions)
             for instr in spec.instructions
         }
+        #: copy forwarding never removes these names' assignments
+        self._protected = frozenset(
+            set(spec.sregs) | set(spec.regfiles) | {"next_pc", "pc", "instr_bits"}
+        )
+        self._pure = plan.pure_names | frozenset(PURE_NAMESPACE)
 
     # -- public API -------------------------------------------------------------
 
@@ -467,35 +406,31 @@ class BlockTranslator:
     def block_source(
         self, sim, start_pc: int, limit: int | None = None
     ) -> tuple[str, str]:
+        """Form the unit at ``start_pc`` and assemble its source text.
+
+        Formation decodes instructions and follows the successors their
+        pieces name; assembly joins the pieces' cached text and adds the
+        context-dependent lines: register loads and stores (the sets
+        ``loaded`` and ``dirty`` track which cached locals hold a value
+        and which differ from the register files), side exits, and the
+        exit epilogue.
+        """
         plan = self.plan
         spec = plan.spec
         mem = sim.state.mem
         options = plan.options
-        speculate = plan.buildset.speculation
-        regcache = (
-            RegisterCache(frozenset(spec.regfiles))
-            if options.regcache
-            else None
-        )
 
         self._dce_dropped = 0
-        self._last_cells = []
-        pieces: list[list[ast.stmt]] = []
-        trace_consts: list[str | None] = []
-        #: per-piece guarded side exit (superblocks across conditionals)
-        side_exits: list[dict | None] = []
+        pieces: list[Piece] = []
+        #: per piece: the arm followed in-line past a guarded side exit
+        side_exits: list[int | None] = []
         side_targets: set[int] = set()
-        sreg_reads_all: set[str] = set()
-        sreg_writes_all: set[str] = set()
-        mem_used = False
-        reg_files_used: set[str] = set()
         addr = start_pc
         count = 0
         block_count = 0  # instructions in the current basic block
         parts = 1  # basic blocks merged into this unit
         final_next_pc: object = None  # int const or "runtime"
         unroll_len = 0  # length of one iteration when self-loop unrolling
-        ended_by_syscall = False
         chain = options.chain and limit is None
 
         # Unit budget: one basic block (capped at MAX_BLOCK) classically;
@@ -512,8 +447,7 @@ class BlockTranslator:
             if index is None:
                 if count == 0:
                     raise IllegalInstruction(addr, word)
-                last_exit = side_exits[-1]
-                if last_exit is not None and last_exit["count"] == count:
+                if side_exits[-1] is not None:
                     # The conditional we just crossed falls through into
                     # untranslatable bytes: revert to a classic runtime
                     # exit so the guard costs nothing on real code paths.
@@ -521,33 +455,25 @@ class BlockTranslator:
                     parts -= 1
                     final_next_pc = "runtime"
                 break
-            instr = spec.instructions[index]
-            stmts, env, info = self._translate_instruction(
-                sim, instr, addr, word, regcache, count, sreg_writes_all
-            )
-            pieces.append(stmts)
-            trace_consts.append(info["trace_const"])
+            piece = self._piece(spec.instructions[index], addr, word)
+            pieces.append(piece)
             side_exits.append(None)
-            sreg_reads_all |= info["sreg_reads"]
-            sreg_writes_all |= info["sreg_writes"]
-            mem_used = mem_used or info["mem_used"]
-            reg_files_used |= info["regfiles"]
+            self._dce_dropped += piece.dce_dropped
             count += 1
-            if self._syscalls[instr.name]:
-                ended_by_syscall = True
-                final_next_pc = env.get("next_pc", "runtime")
+            if piece.syscall:
+                final_next_pc = piece.next_pc if piece.next_pc is not None else "runtime"
                 break
-            if info["control"]:
-                next_const = info["next_const"]
+            if piece.control:
+                next_const = piece.next_const
                 if (
                     options.superblock > 0
-                    and isinstance(next_const, int)
+                    and next_const is not None
                     and count < unit_budget
                 ):
                     # Superblock formation: the transfer target is a
                     # compile-time constant, so translation continues into
-                    # the successor block and the optimizers see one
-                    # straight-line multi-block region.
+                    # the successor block and the unit is one straight-line
+                    # multi-block region.
                     final_next_pc = next_const
                     addr = next_const
                     block_count = 0
@@ -564,7 +490,7 @@ class BlockTranslator:
                 # forward diamonds and multi-block loop bodies into one
                 # straight-line region.
                 fallthrough = addr + spec.ilen
-                arm_consts = info["arm_consts"]
+                arm_consts = piece.arm_consts
                 follow = None
                 if options.superblock > 0 and count < unit_budget:
                     if start_pc in arm_consts:
@@ -575,57 +501,48 @@ class BlockTranslator:
                     if follow is None and fallthrough in arm_consts:
                         follow = fallthrough
                 if follow is not None:
-                    side_exits[-1] = {
-                        "follow": follow,
-                        "count": count,
-                        "spill": regcache.spill() if regcache is not None else [],
-                        "sregs": tuple(sorted(sreg_writes_all)),
-                    }
+                    side_exits[-1] = follow
                     side_targets |= arm_consts - {follow}
                     final_next_pc = follow
                     addr = follow
                     block_count = 0
                     parts += 1
                     continue
-                final_next_pc = env.get("next_pc", "runtime")
+                final_next_pc = piece.next_pc if piece.next_pc is not None else "runtime"
                 break
             block_count += 1
-            next_const = env.get("next_pc")
-            if not isinstance(next_const, int):
+            if piece.next_pc is None:
                 final_next_pc = "runtime"
                 break
-            addr = next_const
-            final_next_pc = next_const
+            addr = piece.next_pc
+            final_next_pc = piece.next_pc
 
         # -- assemble the function ------------------------------------------------
-        flush_stmts = regcache.flush() if regcache is not None else []
-        all_stmts = [s for piece in pieces for s in piece] + flush_stmts
-        names_used = {
-            node.id
-            for stmt in all_stmts
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Name)
-        }
-        reg_files_bind = names_used & set(spec.regfiles)
-        mem_used = mem_used or "__mem" in names_used
+        sregs_bind: set[str] = set()
+        files_bind: set[str] = set()
+        for piece in pieces:
+            sregs_bind |= piece.sreg_reads | piece.sreg_writes
+            files_bind |= piece.regfiles
+            files_bind.update(file for file, _index in piece.loads)
+            files_bind.update(file for file, _index in piece.writes)
 
         name = f"_blk_{start_pc:x}"
         writer = SourceWriter()
         writer.line(f"def {name}(self, di):")
         writer.indent()
         writer.line("__state = self.state")
-        if mem_used:
+        if any(piece.mem_used for piece in pieces):
             writer.line("__mem = __state.mem")
-        for file in sorted(reg_files_bind):
+        for file in sorted(files_bind):
             writer.line(f"{file} = __state.rf[{file!r}]")
-        for sreg in sorted(sreg_reads_all | sreg_writes_all):
+        for sreg in sorted(sregs_bind):
             writer.line(f"{sreg} = __state.sr[{sreg!r}]")
         writer.line("__trace = di.trace")
         writer.line("__trace.clear()")
 
         # Instructions whose whole trace record folded to a constant have
         # the record hoisted out of the piece (it is the piece's final
-        # statement) and appended in batches: one ``+=`` of a constant
+        # line) and appended in batches: one ``+=`` of a constant
         # tuple-of-tuples replaces one allocation + method call per
         # instruction.  Nothing inside a unit reads ``__trace`` and block
         # statements cannot fault, so batching at the end of each constant
@@ -641,6 +558,18 @@ class BlockTranslator:
                 writer.line(f"__trace += ({', '.join(pending_trace)},)")
             pending_trace.clear()
 
+        def _lines(lines) -> None:
+            for line in lines:
+                writer.line(line)
+
+        def _store(keys) -> None:
+            for file, index in sorted(keys):
+                writer.line(f"{file}[{index}] = {register_local(file, index)}")
+
+        def _store_sregs(sregs) -> None:
+            for sreg in sorted(sregs):
+                writer.line(f"__state.sr[{sreg!r}] = {sreg}")
+
         cells: list[tuple[str, list]] = []
 
         def _new_cell() -> str:
@@ -648,67 +577,11 @@ class BlockTranslator:
             cells.append((cell_name, new_chain_cell()))
             return cell_name
 
-        def _emit_side_exit(exit_info: dict) -> None:
-            # Guarded exit for the non-fall-through arm of a crossed
-            # conditional.  Mirrors the final chain epilogue: dirty
-            # registers and special registers written so far are committed,
-            # then the per-exit successor slots are tried; ``state.pc`` and
-            # ``di.count`` are only materialized when control returns to
-            # the dispatcher.
-            _flush_trace()
-            taken = exit_info["count"]
-            writer.line(f"if next_pc != {exit_info['follow']}:")
-            writer.indent()
-            writer.stmts(exit_info["spill"])
-            for sreg in exit_info["sregs"]:
-                writer.line(f"__state.sr[{sreg!r}] = {sreg}")
-            if chain:
-                writer.line(f"__b = di.budget - {taken}")
-                writer.line("di.budget = __b")
-                c0 = _new_cell()
-                c1 = _new_cell()
-                for var in (c0, c1):
-                    writer.line(f"__c = {var}")
-                    writer.line("if __c[2] == next_pc and __c[1] <= __b:")
-                    writer.indent()
-                    writer.line("return __c[0]")
-                    writer.dedent()
-                writer.line("__state.pc = next_pc")
-                writer.line(f"di.count = {taken}")
-                writer.line("if __b > 0:")
-                writer.indent()
-                writer.line(f"return self._chain_resolve({c0}, {c1}, next_pc, __b)")
-                writer.dedent()
-                writer.line("return None")
-            else:
-                writer.line("__state.pc = next_pc")
-                writer.line(f"di.count = {taken}")
-                writer.line("return None")
-            writer.dedent()
-
-        for stmts, tconst, side_exit in zip(pieces, trace_consts, side_exits):
-            if tconst is not None:
-                writer.stmts(stmts[:-1])
-                pending_trace.append(tconst)
-            else:
-                _flush_trace()
-                writer.stmts(stmts)
-            if side_exit is not None:
-                _emit_side_exit(side_exit)
-        _flush_trace()
-        writer.stmts(flush_stmts)
-        for sreg in sorted(sreg_writes_all):
-            writer.line(f"__state.sr[{sreg!r}] = {sreg}")
-        runtime_exit = final_next_pc == "runtime"
-        if not chain:
-            if runtime_exit:
-                writer.line("__state.pc = next_pc")
-            else:
-                writer.line(f"__state.pc = {final_next_pc}")
-            writer.line(f"di.count = {count}")
-        else:
-            # Chain epilogue: debit the dispatch budget, then try the
-            # per-exit successor slot(s).  An unlinked cell fails the same
+        def _exit(taken: int, target: object) -> None:
+            # Leave the unit after ``taken`` instructions for ``target``, a
+            # constant pc or "runtime" (the value of ``next_pc``).  With
+            # chaining: debit the dispatch budget, then try the per-exit
+            # successor slot(s).  An unlinked cell fails the same
             # ``[1] <= __b`` test as a too-long successor, so the hot path
             # is a single comparison per slot.  The slow paths translate,
             # patch and register the edge.  Bookkeeping a chained transfer
@@ -717,86 +590,104 @@ class BlockTranslator:
             # its code, and :meth:`do_block` recovers the count from the
             # budget debit (``di.count`` is set here only when execution
             # actually returns to the dispatcher).
-            writer.line(f"__b = di.budget - {count}")
-            writer.line("di.budget = __b")
-            if runtime_exit:
-                c0 = _new_cell()
-                c1 = _new_cell()
-                for var in (c0, c1):
-                    writer.line(f"__c = {var}")
-                    writer.line("if __c[2] == next_pc and __c[1] <= __b:")
+            pc = "next_pc" if target == "runtime" else target
+            if chain:
+                writer.line(f"__b = di.budget - {taken}")
+                writer.line("di.budget = __b")
+                if target == "runtime":
+                    c0 = _new_cell()
+                    c1 = _new_cell()
+                    for var in (c0, c1):
+                        writer.line(f"__c = {var}")
+                        writer.line("if __c[2] == next_pc and __c[1] <= __b:")
+                        writer.indent()
+                        writer.line("return __c[0]")
+                        writer.dedent()
+                    slow = f"self._chain_resolve({c0}, {c1}, next_pc, __b)"
+                else:
+                    writer.line(f"__c = {_new_cell()}")
+                    writer.line("if __c[1] <= __b:")
                     writer.indent()
                     writer.line("return __c[0]")
                     writer.dedent()
-                writer.line("__state.pc = next_pc")
-                writer.line(f"di.count = {count}")
+                    slow = f"self._chain_link(__c, {target}, __b)"
+            writer.line(f"__state.pc = {pc}")
+            writer.line(f"di.count = {taken}")
+            if chain:
                 writer.line("if __b > 0:")
                 writer.indent()
-                writer.line(
-                    f"return self._chain_resolve({c0}, {c1}, next_pc, __b)"
-                )
+                writer.line(f"return {slow}")
                 writer.dedent()
+
+        loaded: set[RegKey] = set()
+        dirty: set[RegKey] = set()
+        sregs_written: set[str] = set()
+        for position, (piece, follow) in enumerate(zip(pieces, side_exits)):
+            if not piece.trace_const:
+                _flush_trace()
+            if not piece.cached:
+                # The piece reaches the register files directly (and a
+                # syscall handler may change them): commit, then forget.
+                _store(dirty)
+                dirty.clear()
+                loaded.clear()
+            for key in piece.loads:
+                if key not in loaded:
+                    loaded.add(key)
+                    writer.line(f"{register_local(*key)} = {key[0]}[{key[1]}]")
+            loaded |= piece.writes
+            dirty |= piece.writes
+            if piece.syscall:
+                # The handler may raise ExitProgram: the head has recorded
+                # the trace entry, and special registers written earlier
+                # in the unit (they live in locals) and the progress count
+                # must be architectural before it runs.
+                _lines(piece.head)
+                _store_sregs(sregs_written)
+                writer.line(f"di.count = {position + 1}")
+            sregs_written |= piece.sreg_writes
+            if piece.trace_const:
+                _lines(piece.body[:-1])
+                pending_trace.append(piece.trace)
             else:
-                c0 = _new_cell()
-                writer.line(f"__c = {c0}")
-                writer.line("if __c[1] <= __b:")
+                _lines(piece.body)
+            if follow is not None:
+                # Guarded exit for the non-fall-through arm of a crossed
+                # conditional: dirty registers and special registers
+                # written so far are committed on the exiting path only;
+                # the fall-through path keeps its cached locals.
+                _flush_trace()
+                writer.line(f"if next_pc != {follow}:")
                 writer.indent()
-                writer.line("return __c[0]")
+                _store(dirty)
+                _store_sregs(sregs_written)
+                _exit(position + 1, "runtime")
+                writer.line("return None")
                 writer.dedent()
-                writer.line(f"__state.pc = {final_next_pc}")
-                writer.line(f"di.count = {count}")
-                writer.line("if __b > 0:")
-                writer.indent()
-                writer.line(
-                    f"return self._chain_link(__c, {final_next_pc}, __b)"
-                )
-                writer.dedent()
+        _flush_trace()
+        _store(dirty)
+        _store_sregs(sregs_written)
+        _exit(count, final_next_pc)
         self._last_cells = cells
         self._last_block_len = count
         self._last_parts = parts
-        self.last_exit_targets = self._exit_targets(
-            final_next_pc, pieces, side_targets
-        )
-        return writer.source(), name
-
-    @staticmethod
-    def _exit_targets(final_next_pc, pieces, side_targets=frozenset()) -> tuple[int, ...]:
-        """Compile-time-constant successor pcs of the unit just built."""
-        targets: set[int] = set(side_targets)
+        # Compile-time-constant successor pcs; a runtime exit contributes
+        # the constant arms of the final instruction (e.g. both sides of
+        # a conditional branch).
+        targets = set(side_targets)
         if isinstance(final_next_pc, int):
             targets.add(final_next_pc)
-        elif pieces:
-            # Runtime exit: collect the constant arms of the final
-            # instruction (e.g. both sides of a conditional branch).
-            for stmt in pieces[-1]:
-                for node in ast.walk(stmt):
-                    if (
-                        isinstance(node, ast.Assign)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)
-                        and node.targets[0].id == "next_pc"
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, int)
-                    ):
-                        targets.add(node.value.value)
-        return tuple(sorted(targets))
+        else:
+            targets |= pieces[-1].exit_consts
+        self.last_exit_targets = tuple(sorted(targets))
+        return writer.source(), name
 
-    def _instruction_core(self, instr: Instruction, addr: int, word: int) -> dict:
-        """The decode-time-deterministic front half of piece translation.
-
-        Everything up to (and including) the shared rewrites depends only
-        on ``(addr, word)`` and the plan, so it is memoized per translator:
-        superblock formation re-visits the same instruction once per
-        unrolled loop iteration, and constant folding dominates translation
-        cost.  The statements are cached as source text — the register
-        cache and the peephole passes mutate ASTs in place, so each use
-        re-parses a fresh tree.  A changed memory word changes the key,
-        which keeps the cache trivially coherent with self-modifying code.
-        """
+    def _piece(self, instr: Instruction, addr: int, word: int) -> Piece:
+        """The translation of ``word`` at ``addr``, memoized (see :class:`Piece`)."""
         key = (addr, word)
-        cached = self._piece_cache.get(key)
-        if cached is not None:
-            return cached
+        piece = self._piece_cache.get(key)
+        if piece is not None:
+            return piece
         plan = self.plan
         spec = plan.spec
         speculate = plan.buildset.speculation
@@ -846,17 +737,17 @@ class BlockTranslator:
         # Control transfer is a per-encoding fact: an ARM data-processing
         # instruction writes next_pc only when its destination is R15, and
         # decode-time constant folding has already resolved that here.
-        next_const = env.get("next_pc")
-        is_control = (
+        next_pc = env.get("next_pc")
+        next_pc = next_pc if isinstance(next_pc, int) else None
+        control = (
             "next_pc" in assigned_names([TaggedStmt("x", s) for s in stmts])
-            or (isinstance(next_const, int) and next_const != addr + spec.ilen)
+            or (next_pc is not None and next_pc != addr + spec.ilen)
         )
-        if not isinstance(next_const, int):
-            # Unconditional direct branches keep a runtime `next_pc = K`
-            # statement (two writes defeat env promotion: the synthetic
-            # fall-through plus their own), yet the target is a constant;
-            # superblock formation needs to see through that.
-            next_const = _static_const_next_pc(stmts)
+        # Unconditional direct branches keep a runtime `next_pc = K`
+        # statement (two writes defeat env promotion: the synthetic
+        # fall-through plus their own), yet the target is a constant;
+        # superblock formation needs to see through that.
+        next_const = next_pc if next_pc is not None else _static_const_next_pc(stmts)
 
         sregs = set(spec.sregs)
         sreg_reads: set[str] = set()
@@ -881,116 +772,82 @@ class BlockTranslator:
             if isinstance(default, (int, bool)):
                 defaults.append(f"{field_name} = {int(default)}")
 
-        cached = {
-            "src": "\n".join(ast.unparse(s) for s in stmts),
-            "env": env,
-            "sreg_reads": frozenset(sreg_reads),
-            "sreg_writes": frozenset(sreg_writes),
-            "next_const": next_const if isinstance(next_const, int) else None,
-            "is_control": is_control,
-            "defaults": tuple(defaults),
-            "trace_values": self._trace_tuple(instr, env, assigned, live_out),
-            "dce_dropped": dce_dropped,
-        }
-        self._piece_cache[key] = cached
-        return cached
+        trace = self._trace_tuple(instr, env, assigned, live_out)
+        syscall = self._syscalls[instr.name]
+        cached = False
+        loads: tuple[RegKey, ...] = ()
+        writes: frozenset[RegKey] = frozenset()
+        if plan.options.regcache and not syscall:
+            renamed = cache_registers(stmts, ctx.regfiles)
+            if renamed is not None:
+                stmts, loads, writes = renamed
+                cached = True
 
-    def _translate_instruction(
-        self,
-        sim,
-        instr: Instruction,
-        addr: int,
-        word: int,
-        regcache: RegisterCache | None,
-        position: int,
-        sregs_so_far: set[str] = frozenset(),
-    ):
-        plan = self.plan
-        speculate = plan.buildset.speculation
-        core = self._instruction_core(instr, addr, word)
-        stmts = ast.parse(core["src"]).body
-        env = core["env"]
-        sreg_writes = core["sreg_writes"]
-        trace_values = core["trace_values"]
-        self._dce_dropped += core["dce_dropped"]
-
-        has_syscall = self._syscalls[instr.name]
-        out: list[ast.stmt] = []
-
+        head: list[str] = []
         if speculate:
-            out.append(ast.parse(f"__j = [('p', {addr})]").body[0])
+            head.append(f"__j = [('p', {addr})]")
             for sreg in sorted(sreg_writes):
-                out.append(ast.parse(f"__j.append(('s', {sreg!r}, {sreg}))").body[0])
-
-        for default_line in core["defaults"]:
-            out.append(ast.parse(default_line).body[0])
-
-        if has_syscall:
-            # Handler may mutate registers/memory and may raise ExitProgram:
-            # flush cached state and record the trace entry and progress
-            # count first so a guest exit leaves the interface consistent.
-            if regcache is not None:
-                out.extend(regcache.flush())
-                regcache.invalidate()
-            # Special registers written earlier in the unit live in
-            # locals; the handler (and a guest exit unwinding past the
-            # unit epilogue) must see them architecturally.
-            for sreg in sorted(sregs_so_far):
-                out.append(ast.parse(f"__state.sr[{sreg!r}] = {sreg}").body[0])
-            out.append(ast.parse(f"__state.pc = {addr}").body[0])
-            out.append(ast.parse(f"__trace.append({trace_values})").body[0])
-            out.append(ast.parse(f"di.count = {position + 1}").body[0])
-
-        body = regcache.transform(stmts) if regcache is not None else stmts
-        out.extend(body)
-
+                head.append(f"__j.append(('s', {sreg!r}, {sreg}))")
+        head.extend(defaults)
+        if syscall:
+            # The handler may mutate registers/memory and may raise
+            # ExitProgram: record the pc and trace entry first so a guest
+            # exit leaves the interface consistent.
+            head.append(f"__state.pc = {addr}")
+            head.append(f"__trace.append({trace})")
+        tail: list[str] = []
         if speculate:
-            out.append(ast.parse("__state.journal.append(__j)").body[0])
-        if not has_syscall:
-            out.append(ast.parse(f"__trace.append({trace_values})").body[0])
+            tail.append("__state.journal.append(__j)")
+        if not syscall:
+            tail.append(f"__trace.append({trace})")
+        out = ast.parse("\n".join(head)).body + stmts + ast.parse("\n".join(tail)).body
 
         # Copy forwarding: the statements above still thread values
         # through per-operand temporaries; collapse single-use ones so a
         # typical ALU instruction becomes one Python statement.
-        spec = plan.spec
-        protected = frozenset(
-            set(spec.sregs) | set(spec.regfiles) | {"next_pc", "pc", "instr_bits"}
-        )
-        pure = plan.pure_names | frozenset(PURE_NAMESPACE)
-        out = forward_copies(out, protected, pure)
+        out = forward_copies(out, self._protected, self._pure)
         out = peephole_stmts(out)
 
-        # A compile-time-constant trace record can be hoisted out of the
-        # instruction and batch-appended by the unit assembler.
-        trace_const = None
-        if not has_syscall:
+        exit_consts, arm_consts = _next_pc_consts(out)
+        names = {n.id for s in out for n in ast.walk(s) if isinstance(n, ast.Name)}
+        texts = [ast.unparse(s) for s in out if not isinstance(s, ast.Pass)]
+        split = 0
+        if syscall:
+            split = 1 + next(
+                i for i, text in enumerate(texts) if text.startswith("__trace.append(")
+            )
+        trace_const = False
+        if not syscall:
+            # A compile-time-constant trace record can be hoisted out of
+            # the instruction and batch-appended by the unit assembler.
             try:
-                ast.literal_eval(trace_values)
-                trace_const = trace_values
+                ast.literal_eval(trace)
+                trace_const = True
             except (ValueError, SyntaxError):
-                trace_const = None
+                pass
 
-        info = {
-            "control": core["is_control"],
-            "trace_const": trace_const,
-            "next_const": core["next_const"],
-            "arm_consts": _next_pc_arm_consts(out),
-            "sreg_reads": core["sreg_reads"],
-            "sreg_writes": sreg_writes,
-            "mem_used": any(
-                isinstance(n, ast.Name) and n.id == "__mem"
-                for s in out
-                for n in ast.walk(s)
-            ),
-            "regfiles": {
-                n.id
-                for s in out
-                for n in ast.walk(s)
-                if isinstance(n, ast.Name) and n.id in spec.regfiles
-            },
-        }
-        out = [s for s in out if not isinstance(s, ast.Pass)]
-        return out, env, info
+        piece = Piece(
+            head=tuple(line for text in texts[:split] for line in text.splitlines()),
+            body=tuple(line for text in texts[split:] for line in text.splitlines()),
+            cached=cached,
+            loads=loads,
+            writes=writes,
+            sreg_reads=frozenset(sreg_reads),
+            sreg_writes=frozenset(sreg_writes),
+            regfiles=frozenset(names & ctx.regfiles),
+            mem_used="__mem" in names,
+            syscall=syscall,
+            control=control,
+            next_pc=next_pc,
+            next_const=next_const,
+            exit_consts=exit_consts,
+            arm_consts=arm_consts,
+            trace=trace,
+            trace_const=trace_const,
+            dce_dropped=dce_dropped,
+        )
+        self._piece_cache[key] = piece
+        return piece
 
     def _conditionally_assigned(self, stmts: list[ast.stmt]) -> set[str]:
         sure: set[str] = set()
