@@ -8,7 +8,7 @@ the synthesizer needs to reason about a snippet lives here:
   material for liveness analysis and dead-code elimination.
 * :func:`rename_names` — alpha-renaming used to instantiate accessor
   snippets per operand slot (``index`` -> ``src1_id``, params -> fields).
-* :func:`fold_constants` — constant propagation/folding used by the
+* :func:`propagate_constants` — constant propagation/folding used by the
   basic-block translator, where decode-time knowledge turns format fields
   into literals.
 
@@ -246,11 +246,6 @@ def rename_names(
     return out
 
 
-def snippet_locals(stmts: list[ast.stmt], known: set[str]) -> set[str]:
-    """Names written by the snippet that are not globally-known fields."""
-    return analyze_stmts(stmts).writes - known
-
-
 # -- constant folding ---------------------------------------------------------
 
 
@@ -368,44 +363,22 @@ class _Folder(ast.NodeTransformer):
         return out
 
 
-def fold_constants(
-    stmts: list[ast.stmt],
-    env: dict[str, object],
-    funcs: dict[str, object] | None = None,
-) -> list[ast.stmt]:
-    """Fold constants through ``stmts`` given known name values.
-
-    Names assigned anywhere in ``stmts`` are dropped from ``env`` first, so
-    only genuinely constant names (decode-time format fields and literals)
-    are propagated.
-    """
-    written = analyze_stmts(stmts).writes
-    live_env = {k: v for k, v in env.items() if k not in written}
-    folder = _Folder(live_env, funcs or {})
-    out: list[ast.stmt] = []
-    for stmt in stmts:
-        copied = ast.parse(ast.unparse(stmt)).body[0]
-        result = folder.visit(copied)
-        if isinstance(result, list):
-            out.extend(result)
-        elif result is not None:
-            out.append(ast.fix_missing_locations(result))
-    return [s for s in out if not isinstance(s, ast.Pass)] or [ast.Pass()]
-
-
 def propagate_constants(
     stmts: list[ast.stmt],
     env: dict[str, object],
     funcs: dict[str, object] | None = None,
     max_rounds: int = 4,
 ) -> tuple[list[ast.stmt], dict[str, object]]:
-    """Iterated :func:`fold_constants` with discovery of derived constants.
+    """Fold constants through ``stmts`` given known name values.
 
-    After each folding round, any name that is assigned exactly once, at
-    the top level, from a constant (e.g. ``src1_id = 5`` once format fields
-    folded) is promoted into the environment and propagated in the next
-    round.  Returns the folded statements and the final environment, which
-    the block translator uses to embed operand identifiers as literals.
+    Names assigned anywhere in ``stmts`` are dropped from ``env`` first, so
+    only genuinely constant names (decode-time format fields and literals)
+    are propagated.  After each folding round, any name that is assigned
+    exactly once, at the top level, from a constant (e.g. ``src1_id = 5``
+    once format fields folded) is promoted into the environment and
+    propagated in the next round.  Returns the folded statements and the
+    final environment, which the block translator uses to embed operand
+    identifiers as literals.
     """
     env = dict(env)
     promoted_names: set[str] = set()
@@ -413,8 +386,8 @@ def propagate_constants(
     # later rounds fold the trees the previous round built.
     current = [ast.parse(ast.unparse(stmt)).body[0] for stmt in stmts]
     for _ in range(max_rounds):
-        # Unlike fold_constants, keep promoted single-assignment names in
-        # the environment even though they are written inside the snippet.
+        # Keep promoted single-assignment names in the environment even
+        # though they are written inside the snippet.
         written = analyze_stmts(current).writes - promoted_names
         live_env = {k: v for k, v in env.items() if k not in written}
         folder = _Folder(live_env, funcs or {})

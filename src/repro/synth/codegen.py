@@ -284,18 +284,10 @@ def _definitely_assigned_walk(
     needs: set[str] = set()
     for tagged in stmts:
         facts = analyze_stmt(tagged.stmt)
-        unknown = (facts.reads & domain) - defined
-        needs |= unknown
-        if isinstance(tagged.stmt, ast.Assign) and not isinstance(
-            tagged.stmt, ast.If
-        ):
+        needs |= (facts.reads & domain) - defined
+        if not isinstance(tagged.stmt, ast.If):
+            # conditional writes do not count as definite assignment
             defined |= facts.writes
-        elif not isinstance(tagged.stmt, ast.If):
-            defined |= facts.writes
-        else:
-            # conditional writes do not count as definite assignment, but
-            # later reads should not be flagged twice
-            needs |= set()
     return needs
 
 
@@ -836,7 +828,6 @@ def _emit_step_bodies(
         carries_out = sorted(
             (defs_per_step[ep] & later_uses & domain) - sregs
         )
-        needs_state = True  # pc commit, sregs, regfiles, mem all need it
         writer.line("__state = self.state")
 
         sreg_reads, sreg_writes = _sregs_read_written(plan, stmts)
@@ -884,7 +875,7 @@ def _emit_step_bodies(
             writer.line("__j = [('p', di.pc)]", journal)
             writer.line("di._c___j = __j", journal)
             carry_slots.add("_c___j")
-        elif speculate and (_step_has_journaled_writes(stmts) or sreg_writes):
+        elif speculate and (_has_journaled_writes(stmts) or sreg_writes):
             writer.line("__j = di._c___j", journal)
             carry_slots.add("_c___j")
         if speculate and sreg_writes:
@@ -950,13 +941,9 @@ def _emit_step_bodies(
     return sources, carry_slots
 
 
-def _instr_has_journaled_writes(kept: list[TaggedStmt]) -> bool:
-    for tagged in kept:
+def _has_journaled_writes(stmts: list[TaggedStmt]) -> bool:
+    for tagged in stmts:
         facts = analyze_stmt(tagged.stmt)
         if facts.subscript_writes or "__mem_write" in facts.effects:
             return True
     return False
-
-
-def _step_has_journaled_writes(stmts: list[TaggedStmt]) -> bool:
-    return _instr_has_journaled_writes(stmts)

@@ -276,11 +276,3 @@ def assigned_names(stmts: list[TaggedStmt]) -> set[str]:
     for tagged in stmts:
         out |= analyze_stmt(tagged.stmt).writes
     return out
-
-
-def read_names(stmts: list[TaggedStmt]) -> set[str]:
-    """All names read anywhere in the statement list."""
-    out: set[str] = set()
-    for tagged in stmts:
-        out |= analyze_stmt(tagged.stmt).reads
-    return out

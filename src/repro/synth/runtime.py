@@ -72,6 +72,8 @@ class SynthesizedSimulator:
             self._translator = BlockTranslator(self.plan, obs=self.obs)
             #: chain edges into each cached unit: target pc -> {id: cell}
             self._chains: dict[int, dict[int, list]] = {}
+            #: truncated final units of bounded runs: (pc, limit) -> unit
+            self._partials: dict[tuple[int, int], object] = {}
         if self.obs.enabled:
             # Selected once, here, so an uninstrumented instance keeps the
             # class's original (probe-free) methods.
@@ -145,11 +147,7 @@ class SynthesizedSimulator:
             self._install_block(pc, fn)
         budget = di.budget
         if 0 < budget < fn.__block_len__:
-            # Final partial unit of a bounded run: translate (uncached,
-            # unchained) at most ``budget`` instructions so the executed
-            # count is exact.  Bypasses the counting wrapper: truncated
-            # units are an accounting artifact, not real translations.
-            self._translator._translate(self, pc, limit=budget)(self, di)
+            self._partial(pc, budget)(self, di)
             di.budget = budget - di.count
             return
         nxt = fn(self, di)
@@ -181,7 +179,7 @@ class SynthesizedSimulator:
         ns = time.perf_counter_ns
         budget = di.budget
         if 0 < budget < fn.__block_len__:
-            part = self._translator._translate(self, pc, limit=budget)
+            part = self._partial(pc, budget)
             t0 = ns()
             part(self, di)
             guest.add_unit_time(pc, ns() - t0, di.count)
@@ -190,22 +188,45 @@ class SynthesizedSimulator:
         # Host-side work nested in the unit (chain patching, successor
         # translation, syscalls) accumulates into ``foreign_ns``; the
         # delta is deducted so the unit is charged only for guest code.
+        # A chained exit leaves ``di.count`` unset, so with chaining each
+        # unit is charged the budget it debited.
+        chain = self.plan.options.chain
         t0 = ns()
         f0 = guest.foreign_ns
+        b0 = di.budget
         nxt = fn(self, di)
-        guest.add_unit_time(pc, ns() - t0 - (guest.foreign_ns - f0), di.count)
+        guest.add_unit_time(pc, ns() - t0 - (guest.foreign_ns - f0),
+                            b0 - di.budget if chain else di.count)
         while nxt is not None:
             stats.hits += 1
             stats.chained += 1
             hop_pc = nxt.__block_pc__
             t0 = ns()
             f0 = guest.foreign_ns
+            b0 = di.budget
             cur = nxt(self, di)
             guest.add_unit_time(
-                hop_pc, ns() - t0 - (guest.foreign_ns - f0), di.count,
+                hop_pc, ns() - t0 - (guest.foreign_ns - f0), b0 - di.budget,
                 chained=True,
             )
             nxt = cur
+
+    def _partial(self, pc: int, limit: int):
+        """The unchained unit at ``pc`` cut to ``limit`` instructions.
+
+        Final partial unit of a bounded run, so the executed count is
+        exact.  Memoized apart from ``_cache`` (a run replayed in the
+        same windows reuses it) and made by ``_translate``, bypassing the
+        counting wrapper: truncated units are an accounting artifact, not
+        real translations.
+        """
+        key = (pc, limit)
+        part = self._partials.get(key)
+        if part is None:
+            part = self._partials[key] = self._translator._translate(
+                self, pc, limit=limit
+            )
+        return part
 
     def _install_block(self, pc: int, fn) -> None:
         """Insert a translated unit into the code cache."""
@@ -270,6 +291,7 @@ class SynthesizedSimulator:
                     unlinked += 1
             stats.chain_unlinks += unlinked
             self._chains.clear()
+            self._partials.clear()
         self._cache.clear()
 
     def block_source(self, pc: int) -> str:

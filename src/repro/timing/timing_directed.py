@@ -15,13 +15,17 @@ from repro.obs.probe import NULL_OBS
 from repro.obs.report import record_timing_stats
 from repro.prof.spans import TIMING as TIMING_SPAN
 from repro.synth.synthesizer import GeneratedSimulator
-from repro.timing.classify import BRANCH, LOAD, MUL, STORE, InstructionClassifier
-from repro.timing.pipeline import TimingReport, default_caches
-from repro.timing.branch import BimodalPredictor
+from repro.timing.classify import BRANCH, LOAD, MUL, STORE
+from repro.timing.pipeline import InOrderPipelineModel, TimingReport
 
 
-class TimingDirectedSimulator:
-    """Pipeline that invokes individual instruction steps at its own pace."""
+class TimingDirectedSimulator(InOrderPipelineModel):
+    """Pipeline that invokes individual instruction steps at its own pace.
+
+    It inherits the pipeline model's caches, predictor, counters and
+    report, but charges each stage as it drives it instead of calling
+    :meth:`consume`.
+    """
 
     def __init__(
         self,
@@ -34,19 +38,13 @@ class TimingDirectedSimulator:
     ) -> None:
         if generated.plan.buildset.semantic_detail != "step":
             raise ValueError("timing-directed requires a Step-detail interface")
+        super().__init__(generated.spec, mispredict_penalty=mispredict_penalty,
+                         mul_latency=mul_latency)
         self.obs = obs if obs is not None else NULL_OBS
         self.sim = generated.make(
             state=state, syscall_handler=syscall_handler, obs=self.obs
         )
         self.entries = [getattr(self.sim, n) for n in self.sim.entry_names]
-        self.classifier = InstructionClassifier(generated.spec)
-        self.icache, self.dcache = default_caches()
-        self.predictor = BimodalPredictor()
-        self.mispredict_penalty = mispredict_penalty
-        self.mul_latency = mul_latency
-        self.cycles = 0
-        self.instructions = 0
-        self.mispredicts = 0
 
     @property
     def state(self):
@@ -94,11 +92,6 @@ class TimingDirectedSimulator:
             except ExitProgram as exc:
                 self.instructions += 1
                 report.exit_status = exc.status
-            report.instructions = self.instructions
-            report.cycles = self.cycles
-            report.branch_mispredicts = self.mispredicts
-            report.icache_misses = self.icache.stats.misses
-            report.dcache_misses = self.dcache.stats.misses
             if self.obs.enabled:
                 record_timing_stats(self.obs, "timing_directed", self)
-            return report
+            return self.fill_report(report)

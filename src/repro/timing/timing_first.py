@@ -20,13 +20,16 @@ from repro.obs.probe import NULL_OBS
 from repro.obs.report import record_timing_stats
 from repro.prof.spans import TIMING as TIMING_SPAN
 from repro.synth.synthesizer import GeneratedSimulator
-from repro.timing.classify import BRANCH, LOAD, MUL, STORE, InstructionClassifier
-from repro.timing.pipeline import TimingReport, default_caches
-from repro.timing.branch import BimodalPredictor
+from repro.timing.pipeline import InOrderPipelineModel, TimingReport
 
 
-class TimingFirstSimulator:
-    """Integrated timing model checked by a decoupled functional model."""
+class TimingFirstSimulator(InOrderPipelineModel):
+    """Integrated timing model checked by a decoupled functional model.
+
+    Like :class:`~repro.timing.integrated.IntegratedSimulator`, the
+    organization is the pipeline model itself (multiply latency 3), plus
+    a flush penalty per checker mismatch.
+    """
 
     def __init__(
         self,
@@ -39,6 +42,7 @@ class TimingFirstSimulator:
         # Two independent simulators with independent OS emulators: the
         # paper's organization keeps completely separate state and
         # resynchronizes on mismatch.
+        super().__init__(timing_generated.spec, mul_latency=3)
         self.obs = obs if obs is not None else NULL_OBS
         self.timing_sim = timing_generated.make(
             syscall_handler=syscall_handler_factory(), obs=self.obs
@@ -46,14 +50,8 @@ class TimingFirstSimulator:
         self.checker_sim = checker_generated.make(
             syscall_handler=syscall_handler_factory()
         )
-        self.classifier = InstructionClassifier(timing_generated.spec)
-        self.icache, self.dcache = default_caches()
-        self.predictor = BimodalPredictor()
         self.inject_bug_every = inject_bug_every
-        self.cycles = 0
-        self.instructions = 0
         self.mismatches = 0
-        self.mispredicts = 0
 
     @property
     def state(self):
@@ -64,26 +62,13 @@ class TimingFirstSimulator:
         loader(self.timing_sim.state)
         loader(self.checker_sim.state)
 
-    def _account(self, di) -> None:
-        kind = self.classifier.kind(di.instr_bits)
-        cycles = self.icache.access(di.pc)
-        if kind in (LOAD, STORE):
-            cycles += self.dcache.access(di.effective_addr, kind == STORE)
-        elif kind == MUL:
-            cycles += 3
-        if kind == BRANCH and not self.predictor.update(
-            di.pc, bool(di.branch_taken)
-        ):
-            cycles += 6
-            self.mispredicts += 1
-        self.cycles += cycles
-
     def step_instruction(self) -> None:
         timing = self.timing_sim
         checker = self.checker_sim
-        timing.do_in_one(timing.di)
-        self._account(timing.di)
-        self.instructions += 1
+        di = timing.di
+        timing.do_in_one(di)
+        self.consume(di.pc, di.instr_bits, di.next_pc, di.effective_addr,
+                     di.branch_taken)
         if (
             self.inject_bug_every
             and self.instructions % self.inject_bug_every == 0
@@ -123,12 +108,7 @@ class TimingFirstSimulator:
                     self.step_instruction()
             except ExitProgram as exc:
                 report.exit_status = exc.status
-            report.instructions = self.instructions
-            report.cycles = self.cycles
             report.mismatches = self.mismatches
-            report.branch_mispredicts = self.mispredicts
-            report.icache_misses = self.icache.stats.misses
-            report.dcache_misses = self.dcache.stats.misses
             if self.obs.enabled:
                 record_timing_stats(self.obs, "timing_first", self)
-            return report
+            return self.fill_report(report)

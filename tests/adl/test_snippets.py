@@ -8,7 +8,6 @@ from repro.adl.errors import SnippetError
 from repro.adl.snippets import (
     analyze_stmt,
     analyze_stmts,
-    fold_constants,
     parse_snippet,
     propagate_constants,
     rename_names,
@@ -18,6 +17,10 @@ from repro.ops import PURE_NAMESPACE
 
 def src(stmts):
     return "\n".join(ast.unparse(s) for s in stmts)
+
+
+def fold(stmts, env, funcs=None):
+    return propagate_constants(stmts, env, funcs)[0]
 
 
 class TestParseSnippet:
@@ -143,43 +146,43 @@ class TestRename:
 class TestFolding:
     def test_binop_folds(self):
         stmts = parse_snippet("x = a + 2 * 3")
-        out = fold_constants(stmts, {"a": 10})
+        out = fold(stmts, {"a": 10})
         assert src(out) == "x = 16"
 
     def test_function_folds(self):
         stmts = parse_snippet("x = sext(disp, 16)")
-        out = fold_constants(stmts, {"disp": 0xFFFF}, PURE_NAMESPACE)
+        out = fold(stmts, {"disp": 0xFFFF}, PURE_NAMESPACE)
         assert src(out) == "x = -1"
 
     def test_if_with_constant_test_flattens(self):
         stmts = parse_snippet("\nif cond == 14:\n    x = 1\nelse:\n    x = 2\n")
-        out = fold_constants(stmts, {"cond": 14})
+        out = fold(stmts, {"cond": 14})
         assert src(out) == "x = 1"
 
     def test_if_with_unknown_test_kept(self):
         stmts = parse_snippet("\nif c:\n    x = 1\n")
-        out = fold_constants(stmts, {})
+        out = fold(stmts, {})
         assert isinstance(out[0], ast.If)
 
     def test_written_names_not_propagated(self):
         stmts = parse_snippet("\na = b\nx = a + 1\n")
-        out = fold_constants(stmts, {"a": 5})
+        out = fold(stmts, {"a": 5})
         # `a` is written inside the snippet, so the env value must not leak.
         assert src(out) == "a = b\nx = a + 1"
 
     def test_boolop_short_circuit(self):
         stmts = parse_snippet("x = flag and y")
-        out = fold_constants(stmts, {"flag": True})
+        out = fold(stmts, {"flag": True})
         assert src(out) == "x = y"
 
     def test_ifexp_folds(self):
         stmts = parse_snippet("x = 1 if lit else 2")
-        out = fold_constants(stmts, {"lit": 0})
+        out = fold(stmts, {"lit": 0})
         assert src(out) == "x = 2"
 
     def test_division_by_zero_left_unfolded(self):
         stmts = parse_snippet("x = 1 // d")
-        out = fold_constants(stmts, {"d": 0})
+        out = fold(stmts, {"d": 0})
         assert "1 // 0" in src(out)
 
     def test_propagate_constants_chains(self):

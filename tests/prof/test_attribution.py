@@ -16,18 +16,27 @@ from repro.synth import SynthOptions, synthesize
 from repro.workloads.suite import run_kernel
 
 
-@pytest.fixture(scope="module")
-def profiled_fib():
-    """One profiled fib run on alpha/block_min (superblocks + chaining on)."""
+def _profiled(kernel):
+    """One profiled run on alpha/block_min (superblocks + chaining on)."""
     generated = synthesize(
         get_bundle("alpha").load_spec(),
         "block_min",
         SynthOptions(observe=True),
     )
     obs = make_observability()
-    run = run_kernel(generated, "alpha", "fib", obs=obs)
+    run = run_kernel(generated, "alpha", kernel, obs=obs)
     assert run.correct
     return obs, run
+
+
+@pytest.fixture(scope="module")
+def profiled_fib():
+    return _profiled("fib")
+
+
+@pytest.fixture(scope="module")
+def profiled_sieve():
+    return _profiled("sieve")
 
 
 class TestHotBlockAttribution:
@@ -60,14 +69,19 @@ class TestHotBlockAttribution:
             pytest.skip("entry PC not a unit head under this layout")
         assert entry["share"] < 0.3
 
-    def test_executions_are_charged_per_chained_hop(self, profiled_fib):
-        obs, run = profiled_fib
-        stats = obs.prof.guest.units.values()
-        # The unit that raises ExitProgram aborts mid-execution, so its
-        # partial count is never charged; everything else must be.
-        attributed = sum(s.instructions for s in stats)
-        assert run.executed * 0.95 < attributed <= run.executed
-        assert any(s.chained_calls > 0 for s in stats)
+    def test_executions_are_charged_per_chained_hop(
+        self, profiled_fib, profiled_sieve
+    ):
+        # A chained hop exits without setting ``di.count``; on sieve,
+        # charging it that stale count credited units with more
+        # instructions than the run executed.
+        for obs, run in (profiled_fib, profiled_sieve):
+            stats = obs.prof.guest.units.values()
+            # The unit that raises ExitProgram aborts mid-execution, so
+            # its partial count is never charged; everything else must be.
+            attributed = sum(s.instructions for s in stats)
+            assert run.executed * 0.95 < attributed <= run.executed
+            assert any(s.chained_calls > 0 for s in stats)
 
     def test_span_tree_nests_translate_under_execute(self, profiled_fib):
         obs, _ = profiled_fib

@@ -7,7 +7,6 @@ from repro.synth.dataflow import (
     TaggedStmt,
     assigned_names,
     eliminate_dead,
-    read_names,
 )
 
 
@@ -101,7 +100,3 @@ class TestHelpers:
     def test_assigned_names(self):
         stmts = tag("\na = 1\nif t:\n    b = 2\n")
         assert assigned_names(stmts) == {"a", "b"}
-
-    def test_read_names(self):
-        stmts = tag("\na = x\nb = y + a\n")
-        assert read_names(stmts) == {"x", "y", "a"}

@@ -175,6 +175,40 @@ class TestTranslateOnce:
         assert sim._cache[0x08].__block_len__ == 256
         assert len(calls) == len(sim._translator._piece_cache) == 7
 
+    def test_bounded_replay_translates_nothing(self, toy_spec, monkeypatch):
+        # Windows of 5 end inside the 256-instruction self-loop unit, so
+        # every window's last unit is a truncated one; replaying the same
+        # windows from a snapshot must reuse them all.
+        translations = []
+        translate = translator_module.BlockTranslator._translate
+
+        def counting(self, sim, start_pc, limit=None):
+            translations.append((start_pc, limit))
+            return translate(self, sim, start_pc, limit)
+
+        monkeypatch.setattr(
+            translator_module.BlockTranslator, "_translate", counting
+        )
+        sim = synthesize(toy_spec, "block_min").make(
+            syscall_handler=toyasm.exit_handler()
+        )
+        toyasm.load_words(sim.state, toyasm.SUM_LOOP)
+        snap = sim.state.snapshot()
+
+        def windows():
+            results = [sim.run(5)]
+            while not results[-1].exited:
+                results.append(sim.run(5))
+            return [(r.executed, r.exit_status) for r in results]
+
+        first = windows()
+        assert any(limit is not None for _pc, limit in translations)
+        assert sum(executed for executed, _ in first) == toyasm.SUM_LOOP_INSTRS
+        translations.clear()
+        sim.state.restore(snap)
+        assert windows() == first
+        assert translations == []
+
 
 class TestBlockShaping:
     @pytest.fixture(scope="class")

@@ -199,3 +199,34 @@ class TestCrossOrganizationAgreement:
         r2 = integrated.run(10_000_000)
         assert r1.instructions in (r2.instructions, r2.instructions + 1)
         assert abs(r1.cycles - r2.cycles) <= 70  # final (uncommitted) syscall
+
+    def test_timing_first_is_the_integrated_model_plus_flushes(
+        self, loaded_image
+    ):
+        """Timing-first's timing side is the integrated model: clean, it
+        reports integrated's exact statistics; with injected bugs, only
+        the 10-cycle flush per mismatch is added."""
+
+        def stats(report):
+            return (report.instructions, report.cycles,
+                    report.branch_mispredicts, report.icache_misses,
+                    report.dcache_misses)
+
+        def timing_first(**kwargs):
+            tf = TimingFirstSimulator(gen("one_all"), gen("one_min"), handler,
+                                      **kwargs)
+            tf.load(lambda st: load_image(st, loaded_image, get_bundle(ISA).abi))
+            return tf.run(10_000_000)
+
+        integrated = IntegratedSimulator(gen("one_all"), syscall_handler=handler())
+        load_image(integrated.state, loaded_image, get_bundle(ISA).abi)
+        base = integrated.run(10_000_000)
+
+        clean = timing_first()
+        assert clean.mismatches == 0
+        assert stats(clean) == stats(base)
+
+        buggy = timing_first(inject_bug_every=700)
+        assert buggy.mismatches > 0
+        assert buggy.instructions == base.instructions
+        assert buggy.cycles == base.cycles + 10 * buggy.mismatches
