@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.harness import bench_environment
 from repro.isa.base import get_bundle
 from repro.synth import SynthOptions, synthesize
 
@@ -53,7 +54,8 @@ def publish_json(results_dir):
 
     The rendered .txt tables are for humans; these documents are for
     scripts (regression tracking, plotting) and mirror the same numbers
-    before any rounding-for-display.  ``update=True`` merges the payload's
+    before any rounding-for-display, plus an ``environment`` block that
+    says where they were measured.  ``update=True`` merges the payload's
     top-level keys into the existing document, for an experiment whose
     measurements are split over several tests.
     """
@@ -63,6 +65,7 @@ def publish_json(results_dir):
         if update and os.path.exists(path):
             with open(path) as handle:
                 payload = {**json.load(handle), **payload}
+        payload = {**payload, "environment": bench_environment()}
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -13,8 +13,6 @@
     python -m repro kernels alpha block_min --profile        # profile report
     python -m repro kernels alpha block_min --profile=p.json # Chrome trace
     python -m repro profile alpha block_min       # profiling-first entrypoint
-    python -m repro bench diff old.json new.json  # MIPS regression diff
-    python -m repro bench trail                   # bench trajectory summary
     python -m repro disasm alpha prog.s           # assemble + disassemble
     python -m repro lint alpha                    # static-check the spec
     python -m repro lint alpha --format=json      # machine-readable
@@ -43,7 +41,6 @@ from repro.obs import (
     render_text,
 )
 from repro.prof import (
-    DEFAULT_THRESHOLD,
     folded_stacks,
     profile_document,
     record_sim_profile,
@@ -383,39 +380,6 @@ def _cmd_profile(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench(args) -> int:
-    """Bench-artifact tooling: ``bench diff`` and ``bench trail``."""
-    from repro.prof.bench import (
-        bench_trail,
-        diff_bench,
-        load_bench,
-        render_diff,
-        render_trail,
-    )
-
-    if args.bench_command == "diff":
-        try:
-            old = load_bench(args.old)
-            new = load_bench(args.new)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro bench diff: {exc}", file=sys.stderr)
-            return 2
-        diff = diff_bench(old, new, args.threshold)
-        if args.json:
-            print(json.dumps(diff.as_dict(), indent=2, sort_keys=True))
-        else:
-            print(render_diff(diff))
-        return 0 if args.warn_only else diff.exit_code
-    rows = bench_trail(args.dir)
-    if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    elif not rows:
-        print(f"no BENCH_*.json artifacts under {args.dir}")
-    else:
-        print(render_trail(rows))
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.lint import render_json, render_text as render_lint_text
     from repro.lint.runner import lint_paths
@@ -612,37 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write folded stacks for flamegraph.pl",
     )
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="bench-artifact tooling: regression diff and trajectory",
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_diff = bench_sub.add_parser(
-        "diff", help="compare two BENCH_*.json artifacts cell by cell"
-    )
-    p_diff.add_argument("old", help="baseline BENCH_*.json")
-    p_diff.add_argument("new", help="candidate BENCH_*.json")
-    p_diff.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD, metavar="F",
-        help="relative MIPS loss that counts as a regression "
-        f"(default: {DEFAULT_THRESHOLD})",
-    )
-    p_diff.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but always exit 0 (CI advisory mode)",
-    )
-    p_diff.add_argument("--json", action="store_true",
-                        help="emit the diff as JSON")
-    p_trail = bench_sub.add_parser(
-        "trail", help="summarize every BENCH_*.json in a results directory"
-    )
-    p_trail.add_argument(
-        "--dir", default="benchmarks/_results",
-        help="results directory (default: benchmarks/_results)",
-    )
-    p_trail.add_argument("--json", action="store_true",
-                         help="emit the trajectory as JSON")
-
     p_lint = sub.add_parser(
         "lint", help="run static analysis over an ISA's specification files"
     )
@@ -703,7 +636,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "stats": _cmd_stats,
     "profile": _cmd_profile,
-    "bench": _cmd_bench,
     "table1": _cmd_table1,
 }
 

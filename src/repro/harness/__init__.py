@@ -11,6 +11,7 @@ from repro.harness.speed import (
     DEFAULT_KERNELS,
     INTERFACE_GRID,
     SpeedMeasurement,
+    bench_environment,
     bench_scale,
     measure_buildset,
     measure_interpreter,
@@ -25,6 +26,7 @@ __all__ = [
     "INTERFACE_GRID",
     "IsaCharacteristics",
     "SpeedMeasurement",
+    "bench_environment",
     "bench_scale",
     "count_adl_lines",
     "hostops_per_instruction",

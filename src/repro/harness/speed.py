@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+import platform
+import subprocess
 import time
 from dataclasses import dataclass
 
@@ -61,18 +63,55 @@ class SpeedMeasurement:
     instructions: int
     elapsed: float
     #: per-repetition geomean MIPS across the kernels; the headline
-    #: ``mips`` is best-of-reps per kernel, the samples let consumers
-    #: (``repro bench diff``) pick the least-disturbed repetition
+    #: ``mips`` is best-of-reps per kernel
     samples: tuple[float, ...] = ()
+    #: synthesis plus the first run of every kernel to exit, in seconds
+    cold_s: float = 0.0
+    #: first-run instructions divided by ``cold_s``
+    cold_mips: float = 0.0
+
+
+def bench_environment() -> dict:
+    """Where a benchmark artifact was measured."""
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), "../../.."))
+    # the ceiling keeps git from reporting a repository that encloses a
+    # checkout which is not one itself
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(root))
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "git_commit": commit,
+        "scale": bench_scale(),
+        "reps": bench_reps(),
+    }
+
+
+def kernel_size(name: str, scale: float) -> int:
+    """The kernel parameter ``n`` the speed benchmarks run at ``scale``."""
+    n = max(2, int(SUITE[name].bench_n * scale))
+    if name == "listsum":
+        while math.gcd(n, 7) != 1:
+            n += 1
+    return n
 
 
 def _measure_one(
-    sim_factory, isa: str, kernels, scale: float
-) -> tuple[float, int, float, tuple[float, ...]]:
-    """Geomean MIPS over kernels; returns (mips, instrs, seconds, samples).
+    sim_factory, isa: str, label: str, kernels, scale: float,
+    setup_s: float = 0.0,
+) -> SpeedMeasurement:
+    """Cold MIPS and warm geomean MIPS over kernels.
 
-    Each kernel is run once to warm translation caches, then re-run from a
-    snapshot for the timed measurement.  The paper measures over the first
+    Each kernel's first run, from a fresh simulator to exit, is the cold
+    run: ``cold_s`` adds it to ``setup_s`` (the caller's synthesis time),
+    translation included.  The kernel is then re-run from a snapshot for
+    the timed warm measurement.  The paper measures over the first
     4 billion instructions, where one-time translation cost is fully
     amortized; the warm run reproduces that steady state at our scale
     (Table III accounts for translation cost explicitly instead).
@@ -84,20 +123,20 @@ def _measure_one(
     rep_rates: list[list[float]] = [[] for _ in range(reps)]
     total_instructions = 0
     total_elapsed = 0.0
+    cold_s = setup_s
+    cold_instructions = 0
     for name in kernels:
-        spec = SUITE[name]
-        n = max(2, int(spec.bench_n * scale))
-        if name == "listsum":
-            while math.gcd(n, 7) != 1:
-                n += 1
-        image = assemble_kernel(isa, spec, n)
+        image = assemble_kernel(isa, SUITE[name], kernel_size(name, scale))
         os_emu = OSEmulator(bundle.abi)
         sim = sim_factory(os_emu)
         load_image(sim.state, image, bundle.abi)
         snapshot = sim.state.snapshot()
-        warm = sim.run(200_000_000)  # warm run: translation happens here
-        if not warm.exited:
+        start = time.perf_counter()
+        first = sim.run(200_000_000)  # cold run: translation happens here
+        cold_s += time.perf_counter() - start
+        if not first.exited:
             raise RuntimeError(f"{isa}/{name}: did not finish")
+        cold_instructions += first.executed
         best_rate = 0.0
         for rep in range(reps):  # best-of-reps to damp scheduler noise
             sim.state.restore(snapshot)
@@ -118,7 +157,10 @@ def _measure_one(
         for row in rep_rates
         if row
     )
-    return geomean / 1e6, total_instructions, total_elapsed, samples
+    return SpeedMeasurement(
+        isa, label, geomean / 1e6, total_instructions, total_elapsed, samples,
+        cold_s, cold_instructions / max(cold_s, 1e-9) / 1e6,
+    )
 
 
 def measure_buildset(
@@ -128,13 +170,15 @@ def measure_buildset(
     scale: float | None = None,
     options: SynthOptions | None = None,
 ) -> SpeedMeasurement:
-    """MIPS of one synthesized interface on one ISA."""
+    """Cold and warm MIPS of one synthesized interface on one ISA."""
     scale = bench_scale() if scale is None else scale
+    start = time.perf_counter()
     generated = synthesize(get_bundle(isa).load_spec(), buildset, options)
-    mips, instructions, elapsed, samples = _measure_one(
-        lambda os_emu: generated.make(syscall_handler=os_emu), isa, kernels, scale
+    synth_s = time.perf_counter() - start
+    return _measure_one(
+        lambda os_emu: generated.make(syscall_handler=os_emu),
+        isa, buildset, kernels, scale, synth_s,
     )
-    return SpeedMeasurement(isa, buildset, mips, instructions, elapsed, samples)
 
 
 def measure_interpreter(
@@ -143,17 +187,12 @@ def measure_interpreter(
     kernels=DEFAULT_KERNELS,
     scale: float | None = None,
 ) -> SpeedMeasurement:
-    """MIPS of the interpreted execution style (footnote 5)."""
+    """Cold and warm MIPS of the interpreted execution style (footnote 5)."""
     scale = bench_scale() if scale is None else scale
     spec = get_bundle(isa).load_spec()
-    mips, instructions, elapsed, samples = _measure_one(
+    return _measure_one(
         lambda os_emu: InterpretedSimulator(spec, buildset, syscall_handler=os_emu),
-        isa,
-        kernels,
-        scale,
-    )
-    return SpeedMeasurement(
-        isa, f"interp:{buildset}", mips, instructions, elapsed, samples
+        isa, f"interp:{buildset}", kernels, scale,
     )
 
 

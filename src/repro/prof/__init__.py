@@ -18,21 +18,9 @@ Layers:
 * :mod:`repro.prof.guest` — guest attribution: per-translated-unit
   timing and synthesized per-PC probes;
 * :mod:`repro.prof.export` — Chrome Trace Event JSON, folded stacks
-  for ``flamegraph.pl``, report documents and text rendering;
-* :mod:`repro.prof.bench` — ``BENCH_*.json`` regression diffing and
-  the bench trajectory (``repro bench diff`` / ``repro bench trail``).
+  for ``flamegraph.pl``, report documents and text rendering.
 """
 
-from repro.prof.bench import (
-    BenchDiff,
-    DEFAULT_THRESHOLD,
-    bench_trail,
-    diff_bench,
-    flatten_mips,
-    load_bench,
-    render_diff,
-    render_trail,
-)
 from repro.prof.export import (
     chrome_trace,
     folded_stacks,
@@ -60,9 +48,7 @@ from repro.prof.spans import (
 )
 
 __all__ = [
-    "BenchDiff",
     "CHAIN_PATCH",
-    "DEFAULT_THRESHOLD",
     "EXECUTE",
     "GuestProfiler",
     "NULL_GUEST",
@@ -78,16 +64,10 @@ __all__ = [
     "SpanTracer",
     "TIMING",
     "TRANSLATE",
-    "bench_trail",
     "chrome_trace",
-    "diff_bench",
-    "flatten_mips",
     "folded_stacks",
-    "load_bench",
     "profile_document",
     "record_sim_profile",
-    "render_diff",
     "render_profile_text",
-    "render_trail",
     "write_chrome_trace",
 ]

@@ -23,20 +23,16 @@ def _instruction_kind(spec: IsaSpec, index: int) -> str:
     instr = spec.instructions[index]
     effects = set()
     writes = set()
-    reads_mem = False
     for stmts in instr.action_code.values():
         for stmt in stmts:
             facts = analyze_stmt(stmt)
             effects |= facts.effects
             writes |= facts.writes
-            if "__mem_read" in facts.reads or "__mem_read" in facts.unknown_calls:
-                reads_mem = True
     if "__syscall" in effects:
         return SYSCALL
     if "__mem_write" in effects:
         return STORE
     # memory reads appear as pure calls; detect via source text
-    source_kinds = " ".join(instr.action_code)
     if "memory_access" in instr.action_code and any(
         "__mem_read" in _stmt_source(s)
         for s in instr.action_code.get("memory_access", ())

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.arch.faults import ExitProgram
 from repro.obs.probe import NULL_OBS
 from repro.obs.report import record_timing_stats
+from repro.prof.spans import TIMING as TIMING_SPAN
 from repro.synth.synthesizer import GeneratedSimulator
 from repro.timing.pipeline import InOrderPipelineModel, TimingReport
 
@@ -39,16 +40,20 @@ class IntegratedSimulator(InOrderPipelineModel):
         return self.sim.state
 
     def run(self, max_instructions: int) -> TimingReport:
-        report = TimingReport("integrated")
-        sim = self.sim
-        di = sim.di
-        try:
-            while self.instructions < max_instructions:
-                sim.do_in_one(di)
-                self.consume(di.pc, di.instr_bits, di.next_pc,
-                             di.effective_addr, di.branch_taken)
-        except ExitProgram as exc:
-            report.exit_status = exc.status
-        if self.obs.enabled:
-            record_timing_stats(self.obs, "integrated", self)
-        return self.fill_report(report)
+        """Drive the organization; a TIMING span brackets the whole drive."""
+        with self.obs.prof.spans.span(TIMING_SPAN):
+            report = TimingReport("integrated")
+            sim = self.sim
+            di = sim.di
+            try:
+                while self.instructions < max_instructions:
+                    try:
+                        sim.do_in_one(di)
+                    finally:  # the exiting instruction is charged too
+                        self.consume(di.pc, di.instr_bits, di.next_pc,
+                                     di.effective_addr, di.branch_taken)
+            except ExitProgram as exc:
+                report.exit_status = exc.status
+            if self.obs.enabled:
+                record_timing_stats(self.obs, "integrated", self)
+            return self.fill_report(report)

@@ -69,16 +69,18 @@ class SpeculativeFunctionalFirstSimulator:
             speculative = 0
             try:
                 while committed + speculative < max_instructions:
-                    sim.do_in_one(di)
+                    try:
+                        sim.do_in_one(di)
+                    finally:  # the exiting instruction is charged too
+                        self.timing.consume(
+                            di.pc,
+                            di.instr_bits,
+                            di.next_pc,
+                            getattr(di, "effective_addr", None),
+                            getattr(di, "branch_taken", None),
+                        )
                     speculative += 1
                     self._since_diverge += 1
-                    self.timing.consume(
-                        di.pc,
-                        di.instr_bits,
-                        di.next_pc,
-                        getattr(di, "effective_addr", None),
-                        getattr(di, "branch_taken", None),
-                    )
                     if (
                         self.diverge_every
                         and self._since_diverge >= self.diverge_every

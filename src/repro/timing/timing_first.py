@@ -66,9 +66,11 @@ class TimingFirstSimulator(InOrderPipelineModel):
         timing = self.timing_sim
         checker = self.checker_sim
         di = timing.di
-        timing.do_in_one(di)
-        self.consume(di.pc, di.instr_bits, di.next_pc, di.effective_addr,
-                     di.branch_taken)
+        try:
+            timing.do_in_one(di)
+        finally:  # the exiting instruction is charged too
+            self.consume(di.pc, di.instr_bits, di.next_pc, di.effective_addr,
+                         di.branch_taken)
         if (
             self.inject_bug_every
             and self.instructions % self.inject_bug_every == 0

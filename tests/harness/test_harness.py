@@ -7,6 +7,7 @@ import pytest
 from repro.harness import (
     INTERFACE_GRID,
     HostOpMeter,
+    bench_environment,
     count_adl_lines,
     hostops_per_instruction,
     measure_buildset,
@@ -72,6 +73,15 @@ class TestMeasurement:
         m = measure_buildset("alpha", "one_min", kernels=("fib",), scale=0.05)
         assert m.mips > 0
         assert m.instructions > 0
+        block = measure_buildset("alpha", "block_min", kernels=("fib",),
+                                 scale=0.05)
+        assert block.cold_s > 0 and block.cold_mips > 0
+        # the cold run pays for translation, the warm reruns do not
+        assert block.cold_mips < block.mips
+
+    def test_bench_environment_keys(self):
+        env = bench_environment()
+        assert set(env) == {"python", "cpu_count", "git_commit", "scale", "reps"}
 
     def test_hostops_smoke(self):
         first, second = (

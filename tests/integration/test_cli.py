@@ -171,56 +171,3 @@ class TestProfileCli:
         for line in folded.read_text().splitlines():
             path, weight = line.rsplit(" ", 1)
             assert path and int(weight) > 0
-
-
-class TestBenchCli:
-    @staticmethod
-    def _write(path, alpha):
-        import json
-
-        path.write_text(
-            json.dumps(
-                {
-                    "experiment": "table2_simulation_speed",
-                    "mips": {"block_min": {"alpha": alpha}},
-                }
-            )
-        )
-
-    def test_diff_regression_exits_nonzero(self, tmp_path, capsys):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        self._write(old, 2.0)
-        self._write(new, 1.7)  # -15%, past the default 10% threshold
-        assert main(["bench", "diff", str(old), str(new)]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_diff_warn_only_and_clean_pass(self, tmp_path):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        self._write(old, 2.0)
-        self._write(new, 1.7)
-        assert main(["bench", "diff", str(old), str(new), "--warn-only"]) == 0
-        self._write(new, 1.95)
-        assert main(["bench", "diff", str(old), str(new)]) == 0
-
-    def test_diff_threshold_flag(self, tmp_path):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        self._write(old, 2.0)
-        self._write(new, 1.9)  # -5%
-        assert main(
-            ["bench", "diff", str(old), str(new), "--threshold", "0.02"]
-        ) == 1
-
-    def test_diff_unreadable_input_exits_2(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        self._write(old, 2.0)
-        assert main(["bench", "diff", str(old), str(tmp_path / "nope")]) == 2
-        assert "bench diff" in capsys.readouterr().err
-
-    def test_trail_lists_artifacts(self, tmp_path, capsys):
-        self._write(tmp_path / "BENCH_T2.json", 2.0)
-        assert main(["bench", "trail", "--dir", str(tmp_path)]) == 0
-        assert "BENCH_T2.json" in capsys.readouterr().out
-
-    def test_trail_empty_directory(self, tmp_path, capsys):
-        assert main(["bench", "trail", "--dir", str(tmp_path)]) == 0
-        assert "no BENCH_" in capsys.readouterr().out

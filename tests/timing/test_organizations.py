@@ -3,6 +3,8 @@
 import pytest
 
 from repro.isa.base import get_bundle
+from repro.obs import make_observability
+from repro.prof.spans import TIMING as TIMING_SPAN
 from repro.synth import synthesize
 from repro.sysemu.loader import load_image
 from repro.sysemu.syscalls import OSEmulator
@@ -49,6 +51,36 @@ def expected():
 
 def handler():
     return OSEmulator(get_bundle(ISA).abi)
+
+
+ORGANIZATIONS = (
+    "integrated",
+    "functional-first",
+    "timing-directed",
+    "timing-first",
+    "speculative-functional-first",
+)
+
+
+def organization(name, image, obs=None):
+    """One of the five organizations, loaded with ``image``."""
+    if name == "timing-first":
+        sim = TimingFirstSimulator(gen("one_all"), gen("one_min"), handler,
+                                   obs=obs)
+        sim.load(lambda st: load_image(st, image, get_bundle(ISA).abi))
+        return sim
+    if name == "integrated":
+        sim = IntegratedSimulator(gen("one_all"), handler(), obs=obs)
+    elif name == "functional-first":
+        sim = FunctionalFirstSimulator(gen("block_decode"), handler(), obs=obs)
+    elif name == "timing-directed":
+        sim = TimingDirectedSimulator(gen("step_all"), handler(), obs=obs)
+    else:
+        sim = SpeculativeFunctionalFirstSimulator(
+            gen("one_decode_spec"), handler(), diverge_every=97, obs=obs
+        )
+    load_image(sim.state, image, get_bundle(ISA).abi)
+    return sim
 
 
 class TestClassifier:
@@ -197,8 +229,8 @@ class TestCrossOrganizationAgreement:
         integrated = IntegratedSimulator(gen("one_all"), syscall_handler=handler())
         load_image(integrated.state, loaded_image, get_bundle(ISA).abi)
         r2 = integrated.run(10_000_000)
-        assert r1.instructions in (r2.instructions, r2.instructions + 1)
-        assert abs(r1.cycles - r2.cycles) <= 70  # final (uncommitted) syscall
+        assert r1.instructions == r2.instructions
+        assert abs(r1.cycles - r2.cycles) <= 70
 
     def test_timing_first_is_the_integrated_model_plus_flushes(
         self, loaded_image
@@ -230,3 +262,18 @@ class TestCrossOrganizationAgreement:
         assert buggy.mismatches > 0
         assert buggy.instructions == base.instructions
         assert buggy.cycles == base.cycles + 10 * buggy.mismatches
+
+    def test_all_organizations_retire_the_same_instructions(self, loaded_image):
+        """The exiting instruction is retired once by every organization."""
+        retired = set()
+        for name in ORGANIZATIONS:
+            report = organization(name, loaded_image).run(10_000_000)
+            assert report.exit_status is not None
+            retired.add(report.instructions - report.rolled_back_instructions)
+        assert len(retired) == 1
+
+    @pytest.mark.parametrize("name", ORGANIZATIONS)
+    def test_profiled_run_records_a_timing_span(self, name, loaded_image):
+        obs = make_observability()
+        organization(name, loaded_image, obs=obs).run(10_000_000)
+        assert TIMING_SPAN in obs.prof.spans.tree()
